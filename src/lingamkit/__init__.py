@@ -20,14 +20,12 @@ from .core import (
     CausalOrder,
     ConnectionMatrix,
     Dataset,
-    MixingMatrix,
     center,
     find_strict_lower_permutation,
-    multi_least_squares,
     permute_matrix,
     simple_residual,
 )
-from .direct import FittedModel, estimate_order, estimate_strengths, fit
+from .direct import FittedModel, estimate_order, estimate_strengths, fit, multi_least_squares
 from .evaluation import (
     BenchmarkGrid,
     EvaluationReport,
@@ -60,7 +58,6 @@ __all__ = [
     "FittedModel",
     "GroundTruthModel",
     "IndependenceConfig",
-    "MixingMatrix",
     "SynthConfig",
     "b_from_unmixing",
     "bootstrap_cis",

@@ -1,15 +1,18 @@
 """Percentile bootstrap confidence intervals for edge strengths.
 
-The causal ordering is held fixed across resamples: each resample
-draws n observation columns with replacement, re-centers, and re-runs
-the least-squares strength estimation for the given order. Every
-coefficient that the order allows (each variable on each of its
-predecessors) gets an empirical distribution, a percentile interval
-with linearly interpolated quantiles, and a significance flag set when
-the interval excludes zero.
+The causal ordering is held fixed across resamples: each resample draws
+n observation columns with ``rng.integers(0, n, size=n)``, re-centers,
+and re-runs the least-squares strength estimation for the given order.
+Every coefficient that the order allows gets an empirical distribution, a
+percentile interval with linearly interpolated quantiles, and a
+significance flag set when the interval excludes zero. Degenerate
+resamples (a constant row, or a singular design) are redrawn, up to a cap.
 
-Degenerate resamples (a constant row, or a singular regression design)
-are redrawn; the number of redraws is capped and reported.
+Resamples run in chunks of ``CHUNK_VALUES`` gathered values (1 MB), each
+centered, multiplied out by one batched matmul and solved by the kernel of
+``estimate_strengths``; a chunk never draws more than are still missing.
+Seeded results match a one-resample-at-a-time loop to rounding, with the
+same draws, redraw count and errors.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _as_order, center
-from .direct import estimate_strengths
-from .errors import SingularDesign, TooManySingularResamples, ZeroVariance
+# ``center`` stays importable here: perfbench/spans.py wraps it by name.
+from .core import Dataset, _as_order, center  # noqa: F401
+from .direct import _ordered_least_squares, estimate_strengths
+from .errors import TooManySingularResamples
+
+CHUNK_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -84,29 +90,29 @@ def bootstrap_cis(
     rng = np.random.default_rng(0) if rng is None else rng
     cap = resamples if max_redraws is None else max_redraws
 
+    # Raises for p > n, so every resample below has fewer predictors than n.
     point = estimate_strengths(data, order)
-    seq = order.order
-    slots = [(seq[pos], parent) for pos in range(1, data.p) for parent in seq[:pos]]
-    slot_rows = np.array([i - 1 for i, _ in slots], dtype=int)
-    slot_cols = np.array([j - 1 for _, j in slots], dtype=int)
+    values = data.values[order.indices]
+    rows, cols = np.tril_indices(data.p, -1)
+    slots = [(order.order[r], order.order[c]) for r, c in zip(rows, cols)]
+    chunk = max(1, CHUNK_VALUES // (data.p * data.n))
 
     draws = np.empty((resamples, len(slots)))
     redraws = 0
     done = 0
     while done < resamples:
-        idx = rng.integers(0, data.n, size=data.n)
-        try:
-            resampled = center(data.values[:, idx], labels=data.labels)
-            b = estimate_strengths(resampled, order)
-        except (ZeroVariance, SingularDesign):
-            redraws += 1
-            if redraws > cap:
-                raise TooManySingularResamples(
-                    f"{redraws} degenerate resamples exceeded the cap of {cap}"
-                )
-            continue
-        draws[done] = b.entries[slot_rows, slot_cols]
-        done += 1
+        picks = [rng.integers(0, data.n, size=data.n) for _ in range(min(chunk, resamples - done))]
+        x = np.take(values, picks, axis=1).transpose(1, 0, 2)
+        x = x - x.mean(axis=2, keepdims=True)
+        b, ok = _ordered_least_squares(x @ x.transpose(0, 2, 1))
+        ok &= ~np.any(np.ptp(x, axis=2) == 0.0, axis=1)
+        redraws += int(np.count_nonzero(~ok))
+        if redraws > cap:
+            raise TooManySingularResamples(
+                f"{cap + 1} degenerate resamples exceeded the cap of {cap}"
+            )
+        draws[done : done + ok.sum()] = b[ok][:, rows, cols]
+        done += ok.sum()
 
     alpha = (1.0 - level) / 2.0
     lower = np.quantile(draws, alpha, axis=0, method="linear")

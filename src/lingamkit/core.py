@@ -15,15 +15,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionError,
     InvalidPermutation,
-    SingularDesign,
-    TooFewObservations,
+    NonFiniteValue,
     ZeroVariance,
     ZeroVarianceRow,
 )
@@ -38,19 +37,19 @@ RCOND_THRESHOLD = 1e-10
 CENTERED_TOL = 1e-12
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise NonFiniteValue(f"row {i + 1}, observation {j + 1} is {values[i, j]}")
 
 
 @dataclass(frozen=True)
 class Dataset:
     """A ``p x n`` observation matrix, one variable per row.
 
-    Rejects constant rows at construction; when ``centered`` is set,
-    every row mean must already be zero to within ``CENTERED_TOL``
-    relative to the row's max magnitude.
+    Rejects NaN or infinite entries and constant rows at construction;
+    when ``centered`` is set, every row mean must already be zero to
+    within ``CENTERED_TOL`` relative to the row's max magnitude.
     """
 
     values: np.ndarray
@@ -69,6 +68,7 @@ class Dataset:
         labels = tuple(self.labels)
         if len(labels) != p:
             raise DimensionError(f"{len(labels)} labels for {p} rows")
+        _require_finite(arr)
         for i in range(p):
             row = arr[i]
             if np.ptp(row) == 0.0:
@@ -109,8 +109,8 @@ def require_centered(data: Dataset) -> Dataset:
 def center(raw, labels=None) -> Dataset:
     """Subtract each row's sample mean, realizing the zero-mean model assumption.
 
-    Rows whose mean is already within ``CENTERED_TOL`` of zero are left
-    untouched, so ``center`` is idempotent at the bit level.
+    Rows whose mean is already within ``CENTERED_TOL`` of zero are left untouched, so
+    ``center`` is idempotent at the bit level. NaN or inf raises ``NonFiniteValue``.
     """
     values = np.array(raw, dtype=float)
     if values.ndim != 2:
@@ -118,10 +118,8 @@ def center(raw, labels=None) -> Dataset:
     p, n = values.shape
     if n < 2:
         raise DimensionError(f"need at least two observations, got {n}")
-    for i in range(p):
-        row = values[i]
-        if np.ptp(row) == 0.0:
-            raise ZeroVarianceRow(i + 1)
+    _require_finite(values)
+    for row in values:
         m = row.mean()
         if abs(m) > CENTERED_TOL * np.max(np.abs(row)):
             row -= m
@@ -200,24 +198,6 @@ class ConnectionMatrix:
         return not np.any(np.triu(self.entries) != 0.0)
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """The matrix mapping external influences to observations: ``(I - B)^-1``."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = _frozen_array(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-        object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def from_connection(cls, b: ConnectionMatrix) -> "MixingMatrix":
-        eye = np.eye(b.p)
-        return cls(np.linalg.inv(eye - b.entries))
-
-
 def simple_residual(xi: np.ndarray, xj: np.ndarray) -> tuple[float, np.ndarray]:
     """Regress ``xi`` on ``xj`` and return ``(coefficient, residual)``.
 
@@ -235,30 +215,6 @@ def simple_residual(xi: np.ndarray, xj: np.ndarray) -> tuple[float, np.ndarray]:
         raise ZeroVariance("regressor has zero sample variance")
     coef = float(dj @ (xi - xi.mean())) / var_j
     return coef, xi - coef * xj
-
-
-def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
-    """Solve the normal equations for ``y`` on a ``k x n`` predictor matrix.
-
-    Inputs are assumed centered (no intercept term). Raises
-    ``TooFewObservations`` when ``k >= n`` and ``SingularDesign`` when
-    the Gram matrix's reciprocal condition number falls below
-    ``RCOND_THRESHOLD``.
-    """
-    y = np.asarray(y, dtype=float)
-    preds = np.atleast_2d(np.asarray(predictors, dtype=float))
-    k, n = preds.shape
-    if y.shape != (n,):
-        raise DimensionError(f"y has length {y.size}, predictors have {n} columns")
-    if k == 0:
-        return np.zeros(0)
-    if k >= n:
-        raise TooFewObservations(f"{k} predictors with only {n} observations")
-    gram = preds @ preds.T
-    singvals = np.linalg.svd(gram, compute_uv=False)
-    if singvals[0] == 0.0 or singvals[-1] / singvals[0] < RCOND_THRESHOLD:
-        raise SingularDesign("predictor Gram matrix is numerically singular")
-    return np.linalg.solve(gram, preds @ y)
 
 
 def _as_order(perm, p: int) -> CausalOrder:

@@ -25,17 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RCOND_THRESHOLD,
     CausalOrder,
     ConnectionMatrix,
     Dataset,
     _as_order,
     center,
-    multi_least_squares,
     permute_matrix,
     require_centered,
     simple_residual,
 )
-from .errors import ZeroVarianceRow
+from .errors import DimensionError, SingularDesign, TooFewObservations, ZeroVarianceRow
 from .independence import IndependenceConfig, select_minimum, t_profile
 
 
@@ -94,7 +94,7 @@ def estimate_order(
             ) from exc
         profile = t_profile(range(1, len(subs) + 1), working, cfg)
         pick = select_minimum(profile)
-        diagnostics.append({subs[local - 1]: t for local, t in profile.items()})
+        diagnostics.append({subs[local - 1]: float(t) for local, t in profile.items()})
         order.append(subs[pick - 1])
 
         root = working.values[pick - 1]
@@ -108,27 +108,67 @@ def estimate_order(
     return CausalOrder(tuple(order)), tuple(diagnostics)
 
 
+def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regress each row on all earlier rows for a ``(c, p, p)`` stack of Gram matrices
+    of centered data in causal order. Returns ``(b, ok)``: ``b[m, pos, :pos]`` holds
+    row ``pos``'s coefficients; ``ok[m]`` is false, and ``b[m]`` zero, when a design is
+    singular. By Cauchy interlacing one SVD of the largest design tests all smaller
+    ones; solves without square roots keep exactly representable results exact.
+    """
+    b = np.zeros(gram.shape)
+    if gram.shape[1] == 1:
+        return b, np.ones(len(gram), dtype=bool)
+    singvals = np.linalg.svd(gram[:, :-1, :-1], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = singvals[:, -1] / singvals[:, 0] >= RCOND_THRESHOLD
+    good = gram[ok]
+    for pos in range(1, gram.shape[1]):
+        b[ok, pos, :pos] = np.linalg.solve(good[:, :pos, :pos], good[:, :pos, pos, None])[..., 0]
+    return b, ok
+
+
+def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
+    """Solve the normal equations for ``y`` on a ``k x n`` predictor matrix.
+
+    Inputs are assumed centered (no intercept term). Raises
+    ``TooFewObservations`` when ``k >= n`` and ``SingularDesign`` when
+    the Gram matrix's reciprocal condition number falls below
+    ``RCOND_THRESHOLD``.
+    """
+    y = np.asarray(y, dtype=float)
+    preds = np.atleast_2d(np.asarray(predictors, dtype=float))
+    k, n = preds.shape
+    if y.shape != (n,):
+        raise DimensionError(f"y has length {y.size}, predictors have {n} columns")
+    if k >= n:
+        raise TooFewObservations(f"{k} predictors with only {n} observations")
+    stacked = np.vstack([preds, y])
+    b, ok = _ordered_least_squares((stacked @ stacked.T)[None])
+    if not ok[0]:
+        raise SingularDesign("predictor Gram matrix is numerically singular")
+    return b[0, k, :k]
+
+
 def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     """Least-squares strengths of each variable on all earlier variables in ``order``.
 
     Entries at or above the diagonal of the order-permuted matrix are
-    exact zeros by construction. Raises ``TooFewObservations`` when a
-    variable has at least as many predecessors as there are
-    observations (the more-variables-than-observations regime, where
-    plain least squares is undefined).
+    exact zeros by construction. Raises ``SingularDesign`` for a singular
+    design, else ``TooFewObservations`` when a variable has at least as
+    many predecessors as there are observations (the
+    more-variables-than-observations regime, where least squares is undefined).
     """
     require_centered(data)
     order = _as_order(order, data.p)
-    b = np.zeros((data.p, data.p))
-    seq = order.order
-    for pos in range(1, data.p):
-        target = seq[pos]
-        parents = seq[:pos]
-        pred_rows = data.values[[s - 1 for s in parents]]
-        coefs = multi_least_squares(data.row(target), pred_rows)
-        for parent, coef in zip(parents, coefs):
-            b[target - 1, parent - 1] = coef
-    return ConnectionMatrix(b)
+    x = data.values[order.indices]
+    # n or more predictors are singular by rank: test only the smaller designs.
+    b, ok = _ordered_least_squares((x @ x.T)[None, : data.n, : data.n])
+    if not ok[0]:
+        raise SingularDesign("predictor Gram matrix is numerically singular")
+    if data.p > data.n:
+        raise TooFewObservations(f"{data.n} predictors with only {data.n} observations")
+    pos = order.inverse().indices
+    return ConnectionMatrix(b[0][np.ix_(pos, pos)])
 
 
 def fit(data: Dataset, cfg: IndependenceConfig | None = None) -> FittedModel:

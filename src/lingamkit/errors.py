@@ -34,6 +34,10 @@ class ZeroVarianceRow(ZeroVariance):
         super().__init__(message or f"row {subscript} has zero sample variance")
 
 
+class NonFiniteValue(LingamError):
+    """Input data or a score holds NaN or an infinity."""
+
+
 class SingularDesign(LingamError):
     """Regression Gram matrix is numerically singular."""
 

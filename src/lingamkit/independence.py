@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, require_centered, simple_residual
-from .errors import DimensionError, NotInActiveSet
+from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
 NONLINEARITIES = {"tanh": np.tanh}
 
@@ -90,14 +90,11 @@ def t_profile(active, data: Dataset, cfg: IndependenceConfig | None = None) -> d
 
 
 def select_minimum(profile: dict[int, float]) -> int:
-    """Lowest-scoring subscript; ties go to the lowest subscript."""
-    best = None
-    best_score = None
-    for j in sorted(profile):
-        score = profile[j]
-        if best_score is None or score < best_score:
-            best, best_score = j, score
-    return best
+    """Lowest-scoring subscript, ties to the lowest; a NaN score raises ``NonFiniteValue``."""
+    subs = sorted(profile)
+    if any(np.isnan(profile[j]) for j in subs):
+        raise NonFiniteValue("an independence score is NaN")
+    return min(subs, key=profile.__getitem__, default=None)
 
 
 def find_most_independent(active, data: Dataset, cfg: IndependenceConfig | None = None) -> int:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from lingamkit import CausalOrder, bootstrap_cis, center
-from lingamkit.errors import TooFewObservations, TooManySingularResamples
+from lingamkit.bootstrap import CHUNK_VALUES
+from lingamkit.core import RCOND_THRESHOLD
+from lingamkit.errors import TooFewObservations, TooManySingularResamples, ZeroVariance
 
 from helpers import chain_dataset
 
@@ -12,6 +14,96 @@ def exact_pair_dataset():
     regression returns the coefficient without rounding."""
     x1 = np.array([1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 0.5, -0.5])
     return center(np.vstack([x1, 1.5 * x1]))
+
+
+class Degenerate(Exception):
+    pass
+
+
+def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
+    """One resample at a time: center, then one SVD-checked solve per variable.
+
+    Returns ``(lower, upper, redraws)`` with the slots in the order the
+    report lists its edges.
+    """
+    seq = order.order
+    slots = [(seq[pos], parent) for pos in range(1, data.p) for parent in seq[:pos]]
+    draws = []
+    redraws = 0
+    while len(draws) < resamples:
+        idx = rng.integers(0, data.n, size=data.n)
+        try:
+            x = center(data.values[:, idx]).values
+            coefs = {}
+            for pos in range(1, data.p):
+                preds = x[[s - 1 for s in seq[:pos]]]
+                gram = preds @ preds.T
+                sv = np.linalg.svd(gram, compute_uv=False)
+                if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_THRESHOLD:
+                    raise Degenerate
+                beta = np.linalg.solve(gram, preds @ x[seq[pos] - 1])
+                coefs.update({(seq[pos], j): c for j, c in zip(seq[:pos], beta)})
+        except (ZeroVariance, Degenerate):
+            redraws += 1
+            if redraws > max_redraws:
+                raise TooManySingularResamples
+            continue
+        draws.append([coefs[slot] for slot in slots])
+    alpha = (1.0 - level) / 2.0
+    draws = np.array(draws)
+    return (
+        np.quantile(draws, alpha, axis=0),
+        np.quantile(draws, 1.0 - alpha, axis=0),
+        redraws,
+    )
+
+
+def assert_matches_loop(data, order, resamples, seed, max_redraws=None):
+    cap = resamples if max_redraws is None else max_redraws
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    report = bootstrap_cis(data, order, 0.95, resamples, rng, max_redraws)
+    lower, upper, redraws = loop_bootstrap(data, order, 0.95, resamples, loop_rng, cap)
+    assert report.singular_redraws == redraws
+    got_lower = np.array([e.lower for e in report.edges])
+    got_upper = np.array([e.upper for e in report.edges])
+    assert np.all(np.abs(got_lower - lower) <= 1e-9 * (1 + np.abs(lower)))
+    assert np.all(np.abs(got_upper - upper) <= 1e-9 * (1 + np.abs(upper)))
+    # Same number of draws: the generators end in the same state.
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    return report
+
+
+class TestMatchesPerResampleLoop:
+    def test_chain_across_chunks(self):
+        ds = chain_dataset(300, np.random.default_rng(30))
+        resamples = 150
+        chunk = CHUNK_VALUES // (ds.p * ds.n)
+        assert chunk < resamples and resamples % chunk != 0
+        assert_matches_loop(ds, CausalOrder((1, 2, 3)), resamples, seed=31)
+
+    def test_shuffled_order_many_chunks(self):
+        ds = center(np.random.default_rng(32).standard_t(3, size=(10, 1000)))
+        order = CausalOrder((4, 9, 1, 10, 2, 8, 3, 7, 5, 6))
+        assert 100 % (CHUNK_VALUES // (ds.p * ds.n)) != 0
+        assert_matches_loop(ds, order, 100, seed=33)
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tiny_n_redraws_inside_a_chunk(self, p, n, seed):
+        ds = center(np.random.default_rng(100 + seed).standard_normal((p, n)))
+        assert CHUNK_VALUES // (p * n) >= 100
+        report = assert_matches_loop(ds, CausalOrder.identity(p), 100, seed=seed)
+        assert report.singular_redraws > 0
+
+    def test_cap_trips_exactly_where_the_loop_does(self):
+        ds = center(np.random.default_rng(3).standard_normal((2, 3)))
+        order = CausalOrder((1, 2))
+        redraws = assert_matches_loop(ds, order, 100, seed=9).singular_redraws
+        assert_matches_loop(ds, order, 100, seed=9, max_redraws=redraws)
+        with pytest.raises(TooManySingularResamples):
+            bootstrap_cis(
+                ds, order, resamples=100, rng=np.random.default_rng(9), max_redraws=redraws - 1
+            )
 
 
 class TestDegenerateDistribution:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -42,9 +43,11 @@ class TestLoadCsv:
         assert err.value.cell == "oops"
 
     def test_non_finite_rejected(self, tmp_path):
-        path = write_text(tmp_path / "d.csv", "a,b\n1,2\n3,inf\n")
-        with pytest.raises(NonNumericCell):
-            load_csv(path)
+        for cell in ("inf", "nan", "-Infinity"):
+            path = write_text(tmp_path / "d.csv", f"a,b\n1,2\n3,{cell}\n")
+            with pytest.raises(NonNumericCell) as err:
+                load_csv(path)
+            assert (err.value.line, err.value.column) == (3, 2)
 
     def test_ragged_rows(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,b\n1,2\n3\n")
@@ -134,6 +137,17 @@ class TestCommands:
         run_cli("fit", "--input", data, "--output", out1)
         run_cli("fit", "--input", data, "--output", out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_model_bytes_same_as_with_numpy_float_scores(self, tmp_path, capsys):
+        data = self.write_chain_csv(tmp_path)
+        out = tmp_path / "m.json"
+        run_cli("fit", "--input", data, "--output", out)
+        doc = ModelDocument.from_dict(json.loads(out.read_text(encoding="utf-8")))
+        numpy_scores = tuple(
+            tuple((s, np.float64(t)) for s, t in step) for step in doc.diagnostics
+        )
+        payload = dataclasses.replace(doc, diagnostics=numpy_scores).to_dict()
+        assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
     def test_simulate_deterministic_bytes(self, tmp_path, capsys):
         for stem in ("a", "b"):

@@ -14,6 +14,7 @@ from lingamkit import (
 from lingamkit.errors import (
     DimensionError,
     InvalidPermutation,
+    NonFiniteValue,
     SingularDesign,
     TooFewObservations,
     ZeroVariance,
@@ -42,6 +43,14 @@ class TestCenter:
     def test_single_observation_rejected(self):
         with pytest.raises(DimensionError):
             center([[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        raw = [[1.0, 2.0, 3.0], [1.0, bad, 3.0]]
+        with pytest.raises(NonFiniteValue, match="row 2, observation 2"):
+            center(raw)
+        with pytest.raises(NonFiniteValue):
+            Dataset(np.array(raw), ("a", "b"), centered=False)
 
     def test_labels_preserved(self):
         ds = center([[1.0, 3.0]], labels=("height",))

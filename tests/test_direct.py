@@ -3,17 +3,20 @@ import pytest
 
 from lingamkit import (
     CausalOrder,
+    Dataset,
     SynthConfig,
     center,
     estimate_order,
     estimate_strengths,
     fit,
     generate,
+    multi_least_squares,
     permute_matrix,
     simple_residual,
 )
+from lingamkit.core import RCOND_THRESHOLD
 from lingamkit.direct import FittedModel
-from lingamkit.errors import TooFewObservations, ZeroVariance
+from lingamkit.errors import SingularDesign, TooFewObservations, ZeroVariance
 
 from helpers import CHAIN_B, chain_dataset
 
@@ -101,6 +104,41 @@ class TestEstimateStrengths:
             estimate_strengths(ds, CausalOrder.identity(20))
 
 
+    def test_singular_design_before_too_few_observations(self):
+        # p - 1 >= n: a collinear pair among the first n - 1 variables is
+        # met before the regression with n predictors; one further down is not.
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 4))
+        early, late = x.copy(), x.copy()
+        early[1] = 2.0 * early[0]
+        late[4] = late[0] + late[1]
+        with pytest.raises(SingularDesign):
+            estimate_strengths(center(early), CausalOrder.identity(6))
+        with pytest.raises(TooFewObservations):
+            estimate_strengths(center(late), CausalOrder.identity(6))
+        with pytest.raises(TooFewObservations):
+            estimate_strengths(center(x), CausalOrder.identity(6))
+
+    @pytest.mark.parametrize("factor, singular", [(1.001, False), (0.999, True)])
+    def test_rcond_boundary(self, factor, singular):
+        # Orthogonal centered predictors whose Gram matrix diag(4, 4 s^2)
+        # has reciprocal condition number s^2 = factor * RCOND_THRESHOLD.
+        u = np.array([1.0, 1.0, -1.0, -1.0])
+        v = np.array([1.0, -1.0, 1.0, -1.0]) * np.sqrt(factor * RCOND_THRESHOLD)
+        y = u - 2.0 * v + np.array([1.0, -1.0, -1.0, 1.0])
+        ds = Dataset(np.vstack([u, v, y]), ("u", "v", "y"), centered=True)
+        if singular:
+            with pytest.raises(SingularDesign):
+                estimate_strengths(ds, CausalOrder((1, 2, 3)))
+            with pytest.raises(SingularDesign):
+                multi_least_squares(y, np.vstack([u, v]))
+        else:
+            b = estimate_strengths(ds, CausalOrder((1, 2, 3)))
+            assert b.entries[2, :2] == pytest.approx([1.0, -2.0], rel=1e-12)
+            coefs = multi_least_squares(y, np.vstack([u, v]))
+            assert coefs == pytest.approx([1.0, -2.0], rel=1e-12)
+
+
 class TestFit:
     def test_single_variable(self):
         model = fit(center([[3.0, 1.0, 2.0]]))
@@ -133,6 +171,10 @@ class TestFit:
             ds = center(rng.standard_normal((p, 60)))
             model = fit(ds)
             assert permute_matrix(model.strengths, model.order).is_strictly_lower()
+
+    def test_diagnostics_scores_are_python_floats(self):
+        model = fit(chain_dataset(500, np.random.default_rng(5)))
+        assert all(type(t) is float for step in model.diagnostics for t in step.values())
 
     def test_diagnostics_step_sizes(self):
         ds = center(np.random.default_rng(3).standard_normal((5, 100)))

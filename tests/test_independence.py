@@ -10,7 +10,8 @@ from lingamkit import (
     t_profile,
     t_statistic,
 )
-from lingamkit.errors import DimensionError, NotInActiveSet
+from lingamkit.errors import DimensionError, NonFiniteValue, NotInActiveSet
+from lingamkit.independence import select_minimum
 
 from helpers import chain_dataset, scratch_t_statistic
 
@@ -57,6 +58,14 @@ def test_identical_rows_tie_break_to_lower_subscript():
     row = np.array([0.25, -1.0, 0.5, 0.25])
     ds = center(np.vstack([row, row]))
     assert find_most_independent({1, 2}, ds) == 1
+
+
+def test_select_minimum_rejects_nan_scores():
+    assert select_minimum({1: 0.5, 2: 0.25, 3: 0.25}) == 2
+    with pytest.raises(NonFiniteValue):
+        select_minimum({1: 0.5, 2: float("nan"), 3: 0.25})
+    with pytest.raises(NonFiniteValue):
+        select_minimum({1: float("nan"), 2: float("nan")})
 
 
 def test_score_nonnegative_and_order_invariant():
