@@ -37,6 +37,12 @@ RCOND_THRESHOLD = 1e-10
 CENTERED_TOL = 1e-12
 
 
+def _off_center(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means, and the mask of rows off center: ``|mean| > CENTERED_TOL * max|row|``."""
+    means = values.mean(axis=1)
+    return means, np.abs(means) > CENTERED_TOL * np.abs(values).max(axis=1)
+
+
 def _require_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]
@@ -69,16 +75,14 @@ class Dataset:
         if len(labels) != p:
             raise DimensionError(f"{len(labels)} labels for {p} rows")
         _require_finite(arr)
-        for i in range(p):
-            row = arr[i]
-            if np.ptp(row) == 0.0:
+        constant = np.ptp(arr, axis=1) == 0.0
+        means, off = _off_center(arr)
+        bad = constant | (off & self.centered)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if constant[i]:
                 raise ZeroVarianceRow(i + 1)
-            if self.centered:
-                tol = CENTERED_TOL * np.max(np.abs(row))
-                if abs(row.mean()) > tol:
-                    raise DimensionError(
-                        f"row {i + 1} marked centered but has mean {row.mean():g}"
-                    )
+            raise DimensionError(f"row {i + 1} marked centered but has mean {means[i]:g}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "labels", labels)
@@ -119,10 +123,8 @@ def center(raw, labels=None) -> Dataset:
     if n < 2:
         raise DimensionError(f"need at least two observations, got {n}")
     _require_finite(values)
-    for row in values:
-        m = row.mean()
-        if abs(m) > CENTERED_TOL * np.max(np.abs(row)):
-            row -= m
+    means, off = _off_center(values)
+    values[off] -= means[off, None]
     if labels is None:
         labels = default_labels(p)
     return Dataset(values, tuple(labels), centered=True)

@@ -11,7 +11,8 @@ A linear non-Gaussian acyclic model provably holds for the residuals,
 and their internal ordering agrees with that of the original
 variables, so exogenous-variable detection can be applied recursively.
 There is no search in parameter space and no iteration limit: the loop
-length is fixed by the number of variables.
+length is fixed by the number of variables. The working data is one
+plain array, scored by the array kernel of ``independence``.
 
 Connection strengths are then estimated by ordinary least squares of
 each variable on all its predecessors in the order, on the original
@@ -24,19 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+# perfbench/spans.py wraps ``center``, ``simple_residual`` and ``t_profile`` here by name.
+from .core import (  # noqa: F401
     RCOND_THRESHOLD,
     CausalOrder,
     ConnectionMatrix,
     Dataset,
     _as_order,
+    _off_center,
     center,
     permute_matrix,
     require_centered,
     simple_residual,
 )
 from .errors import DimensionError, SingularDesign, TooFewObservations, ZeroVarianceRow
-from .independence import IndependenceConfig, select_minimum, t_profile
+from .independence import IndependenceConfig, _scores, select_minimum, t_profile  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -76,33 +79,27 @@ def estimate_order(
     """
     cfg = cfg or IndependenceConfig()
     require_centered(data)
-    work = np.array(data.values)
+    x = np.array(data.values)
     subs = list(range(1, data.p + 1))
     order: list[int] = []
     diagnostics: list[dict[int, float]] = []
 
     while len(subs) > 1:
-        labels = tuple(data.labels[s - 1] for s in subs)
-        try:
-            working = center(work, labels=labels)
-        except ZeroVarianceRow as exc:
-            # Map the local row back to its original subscript.
-            raise ZeroVarianceRow(
-                subs[exc.subscript - 1],
-                f"variable {labels[exc.subscript - 1]} became constant after "
-                "residualization (exact collinearity)",
-            ) from exc
-        profile = t_profile(range(1, len(subs) + 1), working, cfg)
+        means, off = _off_center(x)
+        x[off] -= means[off, None]
+        constant = np.ptp(x, axis=1) == 0.0
+        if constant.any():
+            sub = subs[int(np.argmax(constant))]
+            why = "became constant after residualization (exact collinearity)"
+            raise ZeroVarianceRow(sub, f"variable {data.labels[sub - 1]} {why}")
+        scores, coef = _scores(x, cfg.g)
+        profile = dict(zip(subs, scores.tolist()))
         pick = select_minimum(profile)
-        diagnostics.append({subs[local - 1]: float(t) for local, t in profile.items()})
-        order.append(subs[pick - 1])
-
-        root = working.values[pick - 1]
-        rest = [local for local in range(len(subs)) if local != pick - 1]
-        work = np.empty((len(rest), data.n))
-        for out_row, local in enumerate(rest):
-            _, work[out_row] = simple_residual(working.values[local], root)
-        subs.pop(pick - 1)
+        diagnostics.append(profile)
+        order.append(pick)
+        root = subs.index(pick)
+        x = np.delete(x - coef[:, root, None] * x[root], root, axis=0)
+        subs.pop(root)
 
     order.extend(subs)
     return CausalOrder(tuple(order)), tuple(diagnostics)

@@ -41,7 +41,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FastIcaConfig:
-    """Fixed-point ICA settings: tanh contrast, deflation scheme.
+    """Fixed-point ICA settings. The contrast is always tanh and the scheme
+    always deflation, so neither is a setting.
 
     ``restarts`` counts random re-initializations tried per component
     after the first attempt fails to converge within
@@ -49,18 +50,12 @@ class FastIcaConfig:
     direction and flips the converged flag instead of aborting.
     """
 
-    nonlinearity: str = "tanh"
     max_iterations: int = 1000
     tolerance: float = 1e-6
-    scheme: str = "deflation"
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.nonlinearity != "tanh":
-            raise ValueError("only the tanh contrast is supported")
-        if self.scheme != "deflation":
-            raise ValueError("only the deflation scheme is supported")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.tolerance <= 0:

@@ -11,7 +11,8 @@ exogenous variable; minimizing it selects the next root.
 Correlations use 1/n moments on the centered values as given (no
 re-standardization), so the statistic is scale-sensitive by design.
 A correlation whose argument has exactly zero variance contributes 0,
-the limit consistent with independence.
+the limit consistent with independence. One array kernel, ``_scores``,
+scores all candidates of a block at once; the public functions are views of it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, require_centered, simple_residual
+# ``simple_residual`` stays importable here: perfbench/spans.py wraps it by name.
+from .core import Dataset, require_centered, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
 NONLINEARITIES = {"tanh": np.tanh}
@@ -44,49 +46,52 @@ class IndependenceConfig:
         return NONLINEARITIES[self.nonlinearity]
 
 
-def _abs_corr_or_zero(a: np.ndarray, b: np.ndarray) -> float:
-    """|Pearson correlation|, or 0.0 when either argument is constant."""
-    da = a - a.mean()
+def _abs_corr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|Pearson correlation| of each row of ``a`` with ``b``: 0 where either is
+    constant, NaN where an input is NaN. Centers ``a`` in place."""
+    a -= a.mean(axis=1, keepdims=True)
     db = b - b.mean()
-    va = float(da @ da)
-    vb = float(db @ db)
-    if va == 0.0 or vb == 0.0:
-        return 0.0
-    return abs(float(da @ db)) / np.sqrt(va * vb)
+    va = np.einsum("ij,ij->i", a, a)
+    vb = db @ db
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.abs(a @ db) / np.sqrt(va * vb)
+    return np.where((va == 0.0) | (vb == 0.0), 0.0, corr)
+
+
+def _scores(x: np.ndarray, g) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of every row of a centered ``k x n`` block, and ``coef[i, j]``, the
+    ``simple_residual`` coefficient of row ``i`` on row ``j``."""
+    d = x - x.mean(axis=1, keepdims=True)
+    gram = d @ d.T
+    coef = gram / np.diagonal(gram)
+    scores = np.empty(len(x))
+    for j, xj in enumerate(x):
+        r = np.delete(x, j, axis=0)
+        r -= np.delete(coef[:, j], j)[:, None] * xj
+        gr = g(r)
+        scores[j] = (_abs_corr_rows(gr, xj) + _abs_corr_rows(r, g(xj))).sum()
+    return scores, coef
 
 
 def t_statistic(j: int, active, data: Dataset, cfg: IndependenceConfig | None = None) -> float:
-    """Nonlinear dependence of variable ``j`` on its single-regressor residuals.
-
-    ``active`` is a collection of 1-based subscripts; the sum runs over
-    the active variables other than ``j`` in ascending subscript order
-    (fixed summation order keeps results bit-reproducible).
-    """
-    cfg = cfg or IndependenceConfig()
+    """Nonlinear dependence of variable ``j`` on its single-regressor residuals:
+    the entry for ``j`` of ``t_profile`` over the 1-based subscripts ``active``."""
     require_centered(data)
-    active = sorted(set(int(s) for s in active))
-    if j not in active:
-        raise NotInActiveSet(f"variable {j} is not in the active set {active}")
-    if len(active) < 2:
-        raise DimensionError("active set needs at least two variables")
-    g = cfg.g
-    xj = data.row(j)
-    gxj = g(xj)
-    total = 0.0
-    for i in active:
-        if i == j:
-            continue
-        _, resid = simple_residual(data.row(i), xj)
-        total += _abs_corr_or_zero(g(resid), xj)
-        total += _abs_corr_or_zero(resid, gxj)
-    return total
+    subs = sorted(set(int(s) for s in active))
+    if j not in subs:
+        raise NotInActiveSet(f"variable {j} is not in the active set {subs}")
+    return t_profile(subs, data, cfg)[j]
 
 
 def t_profile(active, data: Dataset, cfg: IndependenceConfig | None = None) -> dict[int, float]:
     """Score every active candidate; keys ascend so iteration order is fixed."""
     cfg = cfg or IndependenceConfig()
+    require_centered(data)
     subs = sorted(set(int(s) for s in active))
-    return {j: t_statistic(j, subs, data, cfg) for j in subs}
+    if len(subs) == 1:
+        raise DimensionError("active set needs at least two variables")
+    scores, _ = _scores(data.values[np.array(subs, dtype=int) - 1], cfg.g)
+    return dict(zip(subs, scores.tolist()))
 
 
 def select_minimum(profile: dict[int, float]) -> int:

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
-from lingamkit import ConnectionMatrix, center
+from lingamkit import CausalOrder, ConnectionMatrix, center, simple_residual
+from lingamkit.errors import ZeroVarianceRow
+from lingamkit.independence import select_minimum
 
 # The worked three-variable example model:
 #   x1 = e1,  x2 = 1.5 x1 + e2,  x3 = 0.8 x1 - 1.5 x2 + e3
@@ -125,6 +127,64 @@ def scratch_t_statistic(j, active, values):
         c2 = corr(resid, gxj)
         total += (abs(c1) if c1 is not None else 0.0) + (abs(c2) if c2 is not None else 0.0)
     return total
+
+
+def _abs_corr_or_zero(a, b):
+    """|Pearson correlation|, or 0.0 when either argument is constant."""
+    da = a - a.mean()
+    db = b - b.mean()
+    va = float(da @ da)
+    vb = float(db @ db)
+    if va == 0.0 or vb == 0.0:
+        return 0.0
+    return abs(float(da @ db)) / np.sqrt(va * vb)
+
+
+def loop_t_statistic(j, active, values):
+    """The tanh score of ``j`` by a per-pair numpy loop over the other active rows.
+
+    ``values`` is the centered p x n matrix, ``j``/``active`` are 1-based.
+    """
+    xj = values[j - 1]
+    gxj = np.tanh(xj)
+    total = 0.0
+    for i in sorted(active):
+        if i == j:
+            continue
+        _, resid = simple_residual(values[i - 1], xj)
+        total += _abs_corr_or_zero(np.tanh(resid), xj)
+        total += _abs_corr_or_zero(resid, gxj)
+    return total
+
+
+def loop_estimate_order(data):
+    """DirectLiNGAM as a loop: per step, rebuild a centered Dataset of the
+    working rows, score each candidate pair by pair, take the lowest score and
+    residualize the rest one row at a time. Returns ``(order, diagnostics)``."""
+    work = np.array(data.values)
+    subs = list(range(1, data.p + 1))
+    order, diagnostics = [], []
+    while len(subs) > 1:
+        labels = tuple(data.labels[s - 1] for s in subs)
+        try:
+            working = center(work, labels=labels)
+        except ZeroVarianceRow as exc:
+            raise ZeroVarianceRow(
+                subs[exc.subscript - 1],
+                f"variable {labels[exc.subscript - 1]} became constant after "
+                "residualization (exact collinearity)",
+            ) from exc
+        local = range(1, len(subs) + 1)
+        profile = {j: loop_t_statistic(j, local, working.values) for j in local}
+        pick = select_minimum(profile)
+        diagnostics.append({subs[j - 1]: float(t) for j, t in profile.items()})
+        order.append(subs[pick - 1])
+        root = working.values[pick - 1]
+        rest = [r for r in range(len(subs)) if r != pick - 1]
+        work = np.vstack([simple_residual(working.values[r], root)[1] for r in rest])
+        subs.pop(pick - 1)
+    order.extend(subs)
+    return CausalOrder(tuple(order)), tuple(diagnostics)
 
 
 def analytic_covariance(b, noise_stds):

@@ -16,9 +16,15 @@ from lingamkit import (
 )
 from lingamkit.core import RCOND_THRESHOLD
 from lingamkit.direct import FittedModel
-from lingamkit.errors import SingularDesign, TooFewObservations, ZeroVariance
+from lingamkit.errors import (
+    NonFiniteValue,
+    SingularDesign,
+    TooFewObservations,
+    ZeroVariance,
+    ZeroVarianceRow,
+)
 
-from helpers import CHAIN_B, chain_dataset
+from helpers import CHAIN_B, chain_dataset, loop_estimate_order
 
 
 def exact_chain_dataset():
@@ -67,12 +73,78 @@ class TestEstimateOrder:
         with pytest.raises(ZeroVariance):
             estimate_order(ds)
 
+    def test_collinearity_reports_original_subscript(self):
+        # x2 is picked before x3, so x3 = 2 x2 is the row that becomes constant.
+        u = np.random.default_rng(0).standard_normal(5)
+        a = np.array([1.0, -2.0, 4.0, -1.0, -2.0])
+        with pytest.raises(ZeroVarianceRow, match="exact collinearity") as info:
+            estimate_order(center(np.vstack([u, a, 2.0 * a])))
+        assert info.value.subscript == 3
+        assert "variable x3 became constant" in str(info.value)
+
+    def test_overflowing_scores_raise_non_finite(self):
+        # Finite data whose squared deviations overflow: every score is NaN,
+        # which must fail rather than yield an arbitrary order.
+        x = np.random.default_rng(1).standard_normal((4, 50)) * 1e160
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+            estimate_order(center(x))
+
     def test_more_variables_than_observations(self):
         rng = np.random.default_rng(8)
         ds = center(rng.uniform(-1, 1, size=(20, 15)))
         order, diagnostics = estimate_order(ds)
         assert sorted(order.order) == list(range(1, 21))
         assert len(diagnostics) == 19
+
+
+class TestMatchesPairLoop:
+    """The array kernel against the per-pair loop it replaced (``helpers``)."""
+
+    def test_same_orders_and_scores_on_full_rank_data(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            p = int(rng.integers(2, 21))
+            n = int(rng.integers(p + 1, 1001))
+            network = ("dense", "sparse")[trial % 2]
+            data, _ = generate(SynthConfig(p=p, n=n, network=network), rng=rng)
+            order, diagnostics = estimate_order(data)
+            ref_order, ref_diagnostics = loop_estimate_order(data)
+            assert order.order == ref_order.order, (p, n, network)
+            for step, ref_step in zip(diagnostics, ref_diagnostics):
+                assert list(step) == list(ref_step)
+                assert step == pytest.approx(ref_step, rel=1e-12, abs=0.0)
+
+    def test_smallest_full_rank_shapes(self):
+        rng = np.random.default_rng(7)
+        for p in range(2, 21):
+            data = center(rng.uniform(-1.0, 1.0, size=(p, p + 1)))
+            order, diagnostics = estimate_order(data)
+            ref_order, ref_diagnostics = loop_estimate_order(data)
+            assert order.order == ref_order.order
+            for step, ref_step in zip(diagnostics, ref_diagnostics):
+                assert step == pytest.approx(ref_step, rel=1e-12, abs=0.0)
+
+    def test_same_errors(self):
+        def outcome(estimate, data):
+            try:
+                return estimate(data)[0].order
+            except (ZeroVarianceRow, NonFiniteValue) as exc:
+                return type(exc), str(exc), getattr(exc, "subscript", None)
+
+        a = np.array([1.0, -2.0, 4.0, -1.0, -2.0])
+        cases = [np.vstack([a, 2.0 * a, 4.0 * a])]
+        for seed in range(5):
+            u = np.random.default_rng(seed).standard_normal(5)
+            cases += [np.vstack([u, a, 2.0 * a]), np.vstack([a, u, 3.0 * a, u - a])]
+        cases.append(np.random.default_rng(3).standard_normal((4, 50)) * 1e160)
+        raised = 0
+        for values in cases:
+            data = center(values)
+            with np.errstate(all="ignore"):
+                mine = outcome(estimate_order, data)
+                assert mine == outcome(loop_estimate_order, data)
+            raised += isinstance(mine[0], type)
+        assert raised >= 7
 
 
 class TestEstimateStrengths:

@@ -13,7 +13,7 @@ from lingamkit import (
 from lingamkit.errors import DimensionError, NonFiniteValue, NotInActiveSet
 from lingamkit.independence import select_minimum
 
-from helpers import chain_dataset, scratch_t_statistic
+from helpers import chain_dataset, loop_t_statistic, scratch_t_statistic
 
 
 def test_exact_proportionality_scores_zero():
@@ -30,6 +30,19 @@ def test_matches_scratch_evaluation_on_small_dataset():
         mine = t_statistic(j, {1, 2}, values)
         ref = scratch_t_statistic(j, {1, 2}, values.values)
         assert mine == pytest.approx(ref, rel=1e-12)
+
+
+def test_profile_of_a_subset_matches_pair_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        p = int(rng.integers(3, 8))
+        ds = center(rng.standard_normal((p, int(rng.integers(5, 300)))) ** 3)
+        subs = sorted(rng.choice(np.arange(1, p + 1), size=int(rng.integers(2, p + 1)), replace=False))
+        profile = t_profile(subs, ds)
+        assert list(profile) == [int(s) for s in subs]
+        for j, score in profile.items():
+            assert score == pytest.approx(loop_t_statistic(j, subs, ds.values), rel=1e-12)
+            assert t_statistic(j, subs, ds) == score
 
 
 def test_chain_model_root_minimizes_score():
