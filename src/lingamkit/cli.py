@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -55,27 +57,68 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     from the header when present); ``variables_as_rows`` flips the
     orientation, in which case a header row is discarded and labels are
     generated. Completely empty records are skipped.
+
+    The table is parsed with one ``np.loadtxt`` call. Input it does not
+    accept as a finite table goes to the per-cell parser, which reports
+    the first bad cell's line and column or parses the rare valid cells
+    ``loadtxt`` rejects (quoted numbers, ``1_000``, non-ASCII digits).
     """
-    records: list[tuple[int, list[str]]] = []
+    head_line, head = 0, None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if header:
+                reader = csv.reader(fh)
+                head = next(row for row in reader if row)
+                head_line = reader.line_num
+            table = _loadtxt_table(fh)
+    except (ValueError, csv.Error, StopIteration):
+        table = None
+    if table is None:
+        head_line, head, table = _located_table(path, header)
+
+    labels = None if head is None or variables_as_rows else tuple(cell.strip() for cell in head)
+    values = table if variables_as_rows else table.T
+    if labels is not None and len(labels) != values.shape[0]:
+        raise RaggedRows(head_line, values.shape[0], len(labels))
+    return center(values, labels=labels)
+
+
+# np.loadtxt strips these four ASCII separators around a number, float() does not.
+_SEPARATORS = re.compile("[\x1c-\x1f]")
+
+
+def _data_lines(fh):
+    for line in fh:
+        if _SEPARATORS.search(line):
+            raise ValueError("information separator in the data")
+        if line.strip("\r\n"):
+            yield line
+
+
+def _loadtxt_table(fh) -> np.ndarray | None:
+    """The rest of ``fh`` as a finite table, or None when it has no data or a non-finite cell."""
+    lines = _data_lines(fh)
+    first = next(lines, None)  # np.loadtxt warns on input with no data
+    if first is None:
+        return None
+    table = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+    return table if np.isfinite(table).all() else None
+
+
+def _located_table(path, header: bool) -> tuple[int, list[str] | None, np.ndarray]:
+    """Per-cell parse to ``(header line, header cells, table)``; errors carry 1-based locations."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                raise ParseError(reader.line_num, 1, f"malformed CSV: {exc}") from exc
-            if row:
-                records.append((reader.line_num, row))
+        try:
+            records = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, 1, f"malformed CSV: {exc}") from exc
     if not records:
         raise ParseError(1, 1, "empty CSV file")
 
-    labels = None
+    head_line, head = 0, None
     if header:
         head_line, head = records.pop(0)
-        if not variables_as_rows:
-            labels = tuple(cell.strip() for cell in head)
         if not records:
             raise ParseError(head_line, 1, "no data rows after header")
 
@@ -92,20 +135,14 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
             if not np.isfinite(value):
                 raise NonNumericCell(line, c + 1, cell)
             table[r, c] = value
-
-    values = table if variables_as_rows else table.T
-    if labels is not None and len(labels) != values.shape[0]:
-        raise RaggedRows(1, values.shape[0], len(labels))
-    return center(values, labels=labels)
+    return head_line, head, table
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
     """Write observations as rows with a label header, full float precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.labels)
-        for col in range(dataset.n):
-            writer.writerow([repr(float(v)) for v in dataset.values[:, col]])
+        csv.writer(fh).writerow(dataset.labels)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in dataset.values.T.tolist())
 
 
 @dataclass(frozen=True)

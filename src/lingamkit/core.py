@@ -75,7 +75,7 @@ class Dataset:
         if len(labels) != p:
             raise DimensionError(f"{len(labels)} labels for {p} rows")
         _require_finite(arr)
-        constant = np.ptp(arr, axis=1) == 0.0
+        constant = arr.max(axis=1) == arr.min(axis=1)  # ptp can overflow
         means, off = _off_center(arr)
         bad = constant | (off & self.centered)
         if bad.any():
@@ -123,8 +123,11 @@ def center(raw, labels=None) -> Dataset:
     if n < 2:
         raise DimensionError(f"need at least two observations, got {n}")
     _require_finite(values)
-    means, off = _off_center(values)
-    values[off] -= means[off, None]
+    # A second pass removes the rounding residue that a mean large
+    # relative to the row's spread leaves behind.
+    for _ in range(2):
+        means, off = _off_center(values)
+        values[off] -= means[off, None]
     if labels is None:
         labels = default_labels(p)
     return Dataset(values, tuple(labels), centered=True)

@@ -1,10 +1,13 @@
+import csv
 import dataclasses
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from lingamkit import SynthConfig, generate
+from lingamkit import Dataset, SynthConfig, center, generate
 from lingamkit.cli import ModelDocument, load_csv, main, write_dataset_csv
 from lingamkit.errors import NonNumericCell, ParseError, RaggedRows
 
@@ -67,6 +70,95 @@ class TestLoadCsv:
         loaded = load_csv(str(path))
         assert loaded.labels == data.labels
         assert np.array_equal(loaded.values, data.values)
+
+
+# (text, load_csv keywords, (error class, line, column)) as the per-cell parser reports them.
+PARSE_ERRORS = {
+    "word": ("a,b\n1,2\n3,abc\n", {}, (NonNumericCell, 3, 2)),
+    "nan": ("a,b\n1,2\nnan,4\n", {}, (NonNumericCell, 3, 1)),
+    "-Infinity": ("a,b\n1,2\n3,-Infinity\n", {}, (NonNumericCell, 3, 2)),
+    "overflow": ("a,b\n1,2\n1e400,4\n", {}, (NonNumericCell, 3, 1)),
+    "empty cell": ("a,b\n1,2\n3,\n", {}, (NonNumericCell, 3, 2)),
+    "trailing comma": ("a,b\n1,2,\n3,4,\n", {}, (NonNumericCell, 2, 3)),
+    "separator char": ("a,b\n1,2\n\x1c3,4\n", {}, (NonNumericCell, 3, 1)),
+    "ragged row": ("a,b\n1,2\n3\n", {}, (RaggedRows, 3, 1)),
+    "whitespace line": ("a,b\n1,2\n  \n3,4\n", {}, (RaggedRows, 3, 1)),
+    "header only": ("a,b\n", {}, (ParseError, 1, 1)),
+    "empty file": ("", {}, (ParseError, 1, 1)),
+    "no header, empty": ("\n\n", {"header": False}, (ParseError, 1, 1)),
+}
+
+# (text, load_csv keywords, labels or None for generated ones, raw table with variables as rows)
+PARSE_VALUES = {
+    "plain": ("a,b\n1,4\n2,5\n3,9\n", {}, ("a", "b"), [[1, 2, 3], [4, 5, 9]]),
+    "quoted number": ('a,b\n"1.5",4\n2,5\n', {}, ("a", "b"), [[1.5, 2], [4, 5]]),
+    "underscores": ("a,b\n1_000,4\n2,5\n", {}, ("a", "b"), [[1000, 2], [4, 5]]),
+    "blank lines": ("\na,b\n\n1,4\n\r\n2,5\n\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
+    "cr endings": ("a,b\r1,4\r2,5\r", {}, ("a", "b"), [[1, 2], [4, 5]]),
+    "padded cells": (" a , b\n 1 ,\t4\n2,5 \n", {}, ("a", "b"), [[1, 2], [4, 5]]),
+    "no header": ("1,4\n2,5\n", {"header": False}, None, [[1, 2], [4, 5]]),
+    "variables as rows": (
+        "a,b,c\n1,2,3\n4,5,9\n", {"variables_as_rows": True}, None, [[1, 2, 3], [4, 5, 9]]
+    ),
+}
+
+
+class TestParseParity:
+    @pytest.mark.parametrize("name", sorted(PARSE_ERRORS))
+    def test_error_location(self, tmp_path, name):
+        text, kwargs, (cls, line, column) = PARSE_ERRORS[name]
+        path = write_text(tmp_path / "d.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as err:
+                load_csv(path, **kwargs)
+        assert (type(err.value), err.value.line, err.value.column) == (cls, line, column)
+
+    @pytest.mark.parametrize("name", sorted(PARSE_VALUES))
+    def test_values(self, tmp_path, name):
+        text, kwargs, labels, raw = PARSE_VALUES[name]
+        path = write_text(tmp_path / "d.csv", text)
+        ds = load_csv(path, **kwargs)
+        expected = center(np.array(raw, dtype=float), labels=labels)
+        assert ds.labels == expected.labels
+        assert np.array_equal(ds.values, expected.values)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_header_width_reports_header_line(self, tmp_path, quoted):
+        first = '"1"' if quoted else "1"
+        path = write_text(tmp_path / "d.csv", f"\n\na,b,c\n{first},2\n3,4\n")
+        with pytest.raises(RaggedRows) as err:
+            load_csv(path)
+        assert (err.value.line, err.value.expected, err.value.got) == (3, 2, 3)
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        rng = np.random.default_rng(11)
+        half = rng.standard_normal((3, 40)) * 10.0 ** rng.integers(-300, 300, size=(3, 40))
+        half[:, :4] = [-0.0, 5e-324, 1e308, 0.1]
+        # (v, -v) pairs sum to exactly zero, so every row is already centered
+        values = np.stack([half, -half], axis=-1).reshape(3, 80)
+        data = Dataset(values, ("a", "b", "c"), centered=True)
+        path = tmp_path / "r.csv"
+        write_dataset_csv(path, data)
+        loaded = load_csv(str(path))
+        assert loaded.labels == data.labels
+        assert np.array_equal(loaded.values.view(np.int64), data.values.view(np.int64))
+
+
+class TestWriteDatasetCsv:
+    def test_bytes_match_csv_writer_with_repr(self, tmp_path):
+        labels = ("plain", "with,comma", 'with"quote', " spaced ")
+        data, _ = generate(SynthConfig(p=4, n=30, seed=5))
+        data = Dataset(data.values, labels, centered=True)
+        path = tmp_path / "w.csv"
+        write_dataset_csv(path, data)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(labels)
+        for col in data.values.T:
+            writer.writerow([repr(float(v)) for v in col])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes().startswith(b'plain,"with,comma","with""quote", spaced \r\n')
 
 
 class TestModelDocument:

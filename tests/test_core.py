@@ -52,6 +52,17 @@ class TestCenter:
         with pytest.raises(NonFiniteValue):
             Dataset(np.array(raw), ("a", "b"), centered=False)
 
+    def test_large_offsets_center_once_and_stay_put(self):
+        # Rows with a mean large against their spread used to keep a rounding
+        # residue above CENTERED_TOL and fail center()'s own Dataset check.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 501))
+            scale = 10.0 ** rng.uniform(-5, 4, size=(3, 1))
+            raw = rng.standard_normal((3, n)) * scale + rng.uniform(-2, 2, size=(3, 1))
+            first = center(raw)
+            assert np.array_equal(center(first.values).values, first.values), seed
+
     def test_labels_preserved(self):
         ds = center([[1.0, 3.0]], labels=("height",))
         assert ds.labels == ("height",)
