@@ -105,7 +105,7 @@ def bootstrap_cis(
         x = np.take(values, picks, axis=1).transpose(1, 0, 2)
         x = x - x.mean(axis=2, keepdims=True)
         b, ok = _ordered_least_squares(x @ x.transpose(0, 2, 1))
-        ok &= ~np.any(np.ptp(x, axis=2) == 0.0, axis=1)
+        ok &= ~np.any(x.max(axis=2) == x.min(axis=2), axis=1)
         redraws += int(np.count_nonzero(~ok))
         if redraws > cap:
             raise TooManySingularResamples(

@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--csv", default=None)
     p_bench.add_argument("--summary", action="store_true", help="print a median table")
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=int, default=1, help="run trials on N forked processes")
     p_bench.add_argument(
         "--timings",
         action="store_true",

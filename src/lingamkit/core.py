@@ -49,6 +49,15 @@ def _require_finite(values: np.ndarray) -> None:
         raise NonFiniteValue(f"row {i + 1}, observation {j + 1} is {values[i, j]}")
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``x @ x.T``; raises ``NonFiniteValue`` when a sum of products overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T
+    if not np.isfinite(gram).all():
+        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
+    return gram
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A ``p x n`` observation matrix, one variable per row.

@@ -32,6 +32,7 @@ from .core import (  # noqa: F401
     ConnectionMatrix,
     Dataset,
     _as_order,
+    _gram,
     _off_center,
     center,
     permute_matrix,
@@ -87,7 +88,7 @@ def estimate_order(
     while len(subs) > 1:
         means, off = _off_center(x)
         x[off] -= means[off, None]
-        constant = np.ptp(x, axis=1) == 0.0
+        constant = x.max(axis=1) == x.min(axis=1)  # ptp can overflow
         if constant.any():
             sub = subs[int(np.argmax(constant))]
             why = "became constant after residualization (exact collinearity)"
@@ -140,7 +141,7 @@ def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
     if k >= n:
         raise TooFewObservations(f"{k} predictors with only {n} observations")
     stacked = np.vstack([preds, y])
-    b, ok = _ordered_least_squares((stacked @ stacked.T)[None])
+    b, ok = _ordered_least_squares(_gram(stacked)[None])
     if not ok[0]:
         raise SingularDesign("predictor Gram matrix is numerically singular")
     return b[0, k, :k]
@@ -159,7 +160,7 @@ def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     order = _as_order(order, data.p)
     x = data.values[order.indices]
     # n or more predictors are singular by rank: test only the smaller designs.
-    b, ok = _ordered_least_squares((x @ x.T)[None, : data.n, : data.n])
+    b, ok = _ordered_least_squares(_gram(x)[None, : data.n, : data.n])
     if not ok[0]:
         raise SingularDesign("predictor Gram matrix is numerically singular")
     if data.p > data.n:

@@ -16,14 +16,16 @@ trial and never abort the sweep.
 
 Every trial draws its generator and estimator seeds from
 ``SeedSequence(master_seed, spawn_key=(cell_index, trial_index))``, so
-results are reproducible and independent of scheduling.
+reports are byte-identical whether trials run in-process or on N forked workers.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+# ``ThreadPoolExecutor`` stays importable here: perfbench/spans.py swaps it by name.
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from multiprocessing import get_context
 from time import perf_counter
 
 import numpy as np
@@ -256,25 +258,22 @@ def _run_trial(grid: BenchmarkGrid, cell_index: int, p: int, n: int, trial: int)
 
 
 def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
-    """Run the sweep. Trials within a cell may run on a thread pool;
-    results are collected by trial index, so the report does not depend
-    on scheduling."""
-    cells = []
+    """Run the sweep; ``threads`` > 1 runs the (cell, trial) tasks on that many
+    worker processes forked from the caller (POSIX ``fork``). Results are taken
+    in task order, so the report is byte-identical for any worker count."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     cell_specs = [(p, n) for p in grid.p_values for n in grid.n_values]
-    for cell_index, (p, n) in enumerate(cell_specs):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trial_maps = list(
-                    pool.map(
-                        lambda t: _run_trial(grid, cell_index, p, n, t),
-                        range(grid.trials),
-                    )
-                )
-        else:
-            trial_maps = [_run_trial(grid, cell_index, p, n, t) for t in range(grid.trials)]
-        per_estimator = {
-            name: tuple(tm[name] for tm in trial_maps) for name in grid.estimators
-        }
+    tasks = [(grid, c, p, n, t) for c, (p, n) in enumerate(cell_specs) for t in range(grid.trials)]
+    if threads == 1:
+        trial_maps = list(map(_run_trial, *zip(*tasks)))
+    else:  # fork: workers start before the pool's threads, with numpy already imported
+        with ProcessPoolExecutor(min(threads, len(tasks)), get_context("fork")) as pool:
+            trial_maps = list(pool.map(_run_trial, *zip(*tasks)))
+    cells = []
+    for c, (p, n) in enumerate(cell_specs):
+        cell_maps = trial_maps[c * grid.trials : (c + 1) * grid.trials]
+        per_estimator = {name: tuple(tm[name] for tm in cell_maps) for name in grid.estimators}
         summaries, failures = _summarize_cell(per_estimator)
         cells.append(CellResult(p=p, n=n, trials=per_estimator, summaries=summaries, failures=failures))
     return EvaluationReport(grid=grid, cells=tuple(cells))

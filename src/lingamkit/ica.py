@@ -17,6 +17,7 @@ initialization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,29 +181,20 @@ def b_from_unmixing(w_tilde: np.ndarray) -> ConnectionMatrix:
 
 
 def prune_and_order(b_hat: ConnectionMatrix) -> tuple[CausalOrder, ConnectionMatrix]:
-    """Zero small entries until the matrix permutes to strictly lower triangular.
+    """Zero the fewest smallest entries that let the matrix permute to strictly lower triangular.
 
-    Starts by zeroing the ``p(p+1)/2`` smallest entries in absolute
-    value, then zeroes one more at a time until a qualifying
-    permutation exists. Terminates because the all-zero matrix is
-    trivially permutable. Ties in magnitude are broken by (row, column)
-    so the result is deterministic.
+    At least the ``p(p+1)/2`` smallest entries in absolute value are zeroed, ties broken
+    by (row, column). A permutation that exists after zeroing ``k`` entries still exists
+    after zeroing more, and zeroing all ``p**2`` admits one, so bisection finds the least ``k``.
     """
     entries = np.array(b_hat.entries)
-    p = entries.shape[0]
-    ranked = sorted(
-        ((abs(entries[r, c]), r, c) for r in range(p) for c in range(p)),
-    )
-    head = p * (p + 1) // 2
-    for _, r, c in ranked[:head]:
-        entries[r, c] = 0.0
-    queue = ranked[head:]
-    while True:
-        order = find_strict_lower_permutation(entries)
-        if order is not None:
-            return order, ConnectionMatrix(entries)
-        _, r, c = queue.pop(0)
-        entries[r, c] = 0.0
+    rank = np.argsort(np.argsort(np.abs(entries), axis=None, kind="stable")).reshape(entries.shape)
+    def orderable(k: int) -> bool:
+        return find_strict_lower_permutation(np.where(rank < k, 0.0, entries)) is not None
+    head = entries.shape[0] * (entries.shape[0] + 1) // 2
+    k = head + bisect_left(range(head, entries.size), True, key=orderable)
+    pruned = np.where(rank < k, 0.0, entries)
+    return find_strict_lower_permutation(pruned), ConnectionMatrix(pruned)
 
 
 def ica_lingam_fit(data: Dataset, cfg: FastIcaConfig | None = None) -> BaselineModel:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``simple_residual`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import Dataset, require_centered, simple_residual  # noqa: F401
+from .core import Dataset, _gram, require_centered, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
 NONLINEARITIES = {"tanh": np.tanh}
@@ -61,8 +61,7 @@ def _abs_corr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _scores(x: np.ndarray, g) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every row of a centered ``k x n`` block, and ``coef[i, j]``, the
     ``simple_residual`` coefficient of row ``i`` on row ``j``."""
-    d = x - x.mean(axis=1, keepdims=True)
-    gram = d @ d.T
+    gram = _gram(x - x.mean(axis=1, keepdims=True))
     coef = gram / np.diagonal(gram)
     scores = np.empty(len(x))
     for j, xj in enumerate(x):

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from lingamkit import CausalOrder, ConnectionMatrix, center, simple_residual
-from lingamkit.errors import ZeroVarianceRow
+from lingamkit.core import find_strict_lower_permutation
+from lingamkit.errors import NonFiniteValue, ZeroVarianceRow
 from lingamkit.independence import select_minimum
 
 # The worked three-variable example model:
@@ -159,8 +160,9 @@ def loop_t_statistic(j, active, values):
 
 def loop_estimate_order(data):
     """DirectLiNGAM as a loop: per step, rebuild a centered Dataset of the
-    working rows, score each candidate pair by pair, take the lowest score and
-    residualize the rest one row at a time. Returns ``(order, diagnostics)``."""
+    working rows, refuse it when a product sum of two rows overflows, score each
+    candidate pair by pair, take the lowest score and residualize the rest one
+    row at a time. Returns ``(order, diagnostics)``."""
     work = np.array(data.values)
     subs = list(range(1, data.p + 1))
     order, diagnostics = [], []
@@ -174,6 +176,10 @@ def loop_estimate_order(data):
                 f"variable {labels[exc.subscript - 1]} became constant after "
                 "residualization (exact collinearity)",
             ) from exc
+        rows = working.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not all(np.isfinite(float(a @ b)) for a in rows for b in rows):
+                raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
         local = range(1, len(subs) + 1)
         profile = {j: loop_t_statistic(j, local, working.values) for j in local}
         pick = select_minimum(profile)
@@ -185,6 +191,25 @@ def loop_estimate_order(data):
         subs.pop(pick - 1)
     order.extend(subs)
     return CausalOrder(tuple(order)), tuple(diagnostics)
+
+
+def linear_prune_and_order(b_hat):
+    """ICA-LiNGAM's pruning step as a linear scan: zero the ``p(p+1)/2`` smallest
+    entries by (|b|, row, column), then one more at a time until a strictly lower
+    permutation exists. Returns ``(order, pruned matrix)``."""
+    entries = np.array(b_hat.entries)
+    p = entries.shape[0]
+    ranked = sorted((abs(entries[r, c]), r, c) for r in range(p) for c in range(p))
+    head = p * (p + 1) // 2
+    for _, r, c in ranked[:head]:
+        entries[r, c] = 0.0
+    queue = ranked[head:]
+    while True:
+        order = find_strict_lower_permutation(entries)
+        if order is not None:
+            return order, ConnectionMatrix(entries)
+        _, r, c = queue.pop(0)
+        entries[r, c] = 0.0
 
 
 def analytic_covariance(b, noise_stds):

@@ -5,6 +5,7 @@ from lingamkit import (
     CausalOrder,
     Dataset,
     SynthConfig,
+    bootstrap_cis,
     center,
     estimate_order,
     estimate_strengths,
@@ -88,6 +89,24 @@ class TestEstimateOrder:
         x = np.random.default_rng(1).standard_normal((4, 50)) * 1e160
         with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
             estimate_order(center(x))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            fit,
+            lambda data: estimate_strengths(data, CausalOrder((1, 2, 3))),
+            lambda data: multi_least_squares(data.values[0], data.values[1:]),
+            lambda data: bootstrap_cis(data, CausalOrder((1, 2, 3))),
+        ],
+        ids=["fit", "estimate_strengths", "multi_least_squares", "bootstrap_cis"],
+    )
+    def test_float_limit_entries_raise_non_finite_without_warning(self, run):
+        # Finite, centered data whose Gram matrix overflows. Tier-1 turns
+        # every warning into an error, so a numpy RuntimeWarning fails here.
+        x = np.random.default_rng(0).standard_normal((3, 50))
+        x[0, :2] = 1e308, -1e308
+        with pytest.raises(NonFiniteValue, match="Gram matrix overflows"):
+            run(center(x))
 
     def test_more_variables_than_observations(self):
         rng = np.random.default_rng(8)

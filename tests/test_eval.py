@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lingamkit import (
     order_errors,
     run_benchmark,
 )
+from lingamkit import evaluation
 from lingamkit.errors import DimensionMismatch
 from lingamkit.evaluation import box_summary
 
@@ -197,3 +199,51 @@ class TestRunBenchmark:
         doc = run_benchmark(grid).to_dict(include_timings=True)
         trial = doc["cells"][0]["estimators"]["direct"]["trials"][0]
         assert trial["seconds"] > 0
+
+
+def report_bytes(report, tmp_path):
+    """The report's JSON and CSV artifacts, as bytes."""
+    report.write_csv(tmp_path / "report.csv")
+    return json.dumps(report.to_dict()).encode(), (tmp_path / "report.csv").read_bytes()
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_fewer_than_one_worker_rejected(self, threads):
+        grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=1)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_benchmark(grid, threads=threads)
+
+    def test_more_workers_than_tasks_same_bytes(self, tmp_path):
+        grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=2, master_seed=3)
+        assert report_bytes(run_benchmark(grid, threads=5), tmp_path) == report_bytes(
+            run_benchmark(grid, threads=1), tmp_path
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unexpected_error_in_a_trial_reaches_the_caller(self, monkeypatch, threads):
+        # Only LingamError codes are recorded per trial; anything else is a bug
+        # and must surface with its own type, also from a worker process.
+        def broken(*args, **kwargs):
+            raise FloatingPointError("broken estimator")
+
+        monkeypatch.setattr(evaluation.direct, "estimate_order", broken)
+        grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=3, estimators=("direct",))
+        with pytest.raises(FloatingPointError, match="broken estimator"):
+            run_benchmark(grid, threads=threads)
+
+    def test_p_above_n_error_codes_independent_of_workers(self):
+        grid = BenchmarkGrid(p_values=(20,), n_values=(8, 15), trials=3, master_seed=6)
+
+        def codes(threads):
+            report = run_benchmark(grid, threads=threads)
+            return [
+                [r.error for r in cell.trials[name]]
+                for cell in report.cells
+                for name in grid.estimators
+            ]
+
+        serial = codes(1)
+        assert set(sum(serial, [])) == {"TooFewObservations", "RankDeficient"}
+        assert codes(2) == serial
+        assert codes(4) == serial

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,11 @@ from lingamkit import (
     ica_lingam_fit,
     prune_and_order,
 )
+from lingamkit import ica
 from lingamkit.errors import NoFeasibleAssignment, RankDeficient, ZeroDiagonal
 from lingamkit.ica import _whiten
 
-from helpers import CHAIN_B, brute_force_assignment, chain_dataset
+from helpers import CHAIN_B, brute_force_assignment, chain_dataset, linear_prune_and_order
 
 
 def dominance_ratios(wa):
@@ -201,6 +204,32 @@ class TestPruneAndOrder:
             idx = order.indices
             assert not np.any(np.triu(pruned.entries[np.ix_(idx, idx)]) != 0.0)
             assert list(order.order) == expected_order
+
+    def test_bisection_matches_linear_scan_in_log_checks(self, monkeypatch):
+        calls = []
+        check = ica.find_strict_lower_permutation
+        monkeypatch.setattr(
+            ica, "find_strict_lower_permutation", lambda b: calls.append(b) or check(b)
+        )
+        rng = np.random.default_rng(404)
+        for p in range(2, 31):
+            perm = rng.permutation(p)
+            lower = np.tril(rng.standard_normal((p, p)), -1)[np.ix_(perm, perm)]
+            mats = {
+                "dense": rng.standard_normal((p, p)),
+                "tied magnitudes": rng.integers(-2, 3, size=(p, p)).astype(float),
+                "already lower": lower,
+                "lower plus upper noise": lower + 0.01 * np.triu(rng.standard_normal((p, p)), 1),
+            }
+            bound = math.ceil(math.log2(p * p - p * (p + 1) // 2 + 1)) + 1
+            for kind, mat in mats.items():
+                np.fill_diagonal(mat, 0.0)
+                calls.clear()
+                order, pruned = prune_and_order(ConnectionMatrix(mat))
+                ref_order, ref_pruned = linear_prune_and_order(ConnectionMatrix(mat))
+                assert order == ref_order, (p, kind)
+                assert pruned.entries.tolist() == ref_pruned.entries.tolist(), (p, kind)
+                assert len(calls) <= bound, (p, kind)
 
 
 class TestIcaLingamFit:

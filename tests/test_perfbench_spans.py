@@ -29,3 +29,15 @@ WRAPPED = sorted(
 @pytest.mark.parametrize("module, attr", WRAPPED)
 def test_wrapped_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"lingamkit.{module}"), attr))
+
+
+def test_tracer_install_swaps_and_restores_every_name():
+    names = WRAPPED + [("evaluation", "ThreadPoolExecutor")]
+
+    def current():
+        return [getattr(importlib.import_module(f"lingamkit.{m}"), a) for m, a in names]
+
+    before = current()
+    with SPANS.Tracer().install():
+        assert all(now is not was for now, was in zip(current(), before))
+    assert all(now is was for now, was in zip(current(), before))
