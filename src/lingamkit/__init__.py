@@ -42,7 +42,7 @@ from .ica import (
     ica_lingam_fit,
     prune_and_order,
 )
-from .independence import IndependenceConfig, find_most_independent, t_profile, t_statistic
+from .independence import find_most_independent, t_profile, t_statistic
 from .synth import GroundTruthModel, SynthConfig, generate, random_model, sample_non_gaussian
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "FastIcaConfig",
     "FittedModel",
     "GroundTruthModel",
-    "IndependenceConfig",
     "SynthConfig",
     "b_from_unmixing",
     "bootstrap_cis",

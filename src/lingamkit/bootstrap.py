@@ -6,7 +6,8 @@ and re-runs the least-squares strength estimation for the given order.
 Every coefficient that the order allows gets an empirical distribution, a
 percentile interval with linearly interpolated quantiles, and a
 significance flag set when the interval excludes zero. Degenerate
-resamples (a constant row, or a singular design) are redrawn, up to a cap.
+resamples (a constant row, a singular design, or a Gram matrix that
+overflows) are redrawn, up to a cap.
 
 Resamples run in chunks of ``CHUNK_VALUES`` gathered values (1 MB), each
 centered, multiplied out by one batched matmul and solved by the kernel of
@@ -104,8 +105,12 @@ def bootstrap_cis(
         picks = [rng.integers(0, data.n, size=data.n) for _ in range(min(chunk, resamples - done))]
         x = np.take(values, picks, axis=1).transpose(1, 0, 2)
         x = x - x.mean(axis=2, keepdims=True)
-        b, ok = _ordered_least_squares(x @ x.transpose(0, 2, 1))
-        ok &= ~np.any(x.max(axis=2) == x.min(axis=2), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = x @ x.transpose(0, 2, 1)
+        finite = np.isfinite(gram).all(axis=(1, 2))
+        gram[~finite] = 0.0
+        b, ok = _ordered_least_squares(gram)
+        ok &= finite & ~np.any(x.max(axis=2) == x.min(axis=2), axis=1)
         redraws += int(np.count_nonzero(~ok))
         if redraws > cap:
             raise TooManySingularResamples(

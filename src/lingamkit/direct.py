@@ -40,7 +40,7 @@ from .core import (  # noqa: F401
     simple_residual,
 )
 from .errors import DimensionError, SingularDesign, TooFewObservations, ZeroVarianceRow
-from .independence import IndependenceConfig, _scores, select_minimum, t_profile  # noqa: F401
+from .independence import _scores, select_minimum, t_profile  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,7 @@ class FittedModel:
             raise ValueError("strengths are not strictly lower triangular under the order")
 
 
-def estimate_order(
-    data: Dataset, cfg: IndependenceConfig | None = None
-) -> tuple[CausalOrder, tuple[dict[int, float], ...]]:
+def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], ...]]:
     """Estimate a causal order by repeated root extraction and residualization.
 
     Returns the order over original 1-based subscripts together with
@@ -78,7 +76,6 @@ def estimate_order(
     ``ZeroVariance``) if a residual row collapses to a constant, which
     signals exact collinearity in the input.
     """
-    cfg = cfg or IndependenceConfig()
     require_centered(data)
     x = np.array(data.values)
     subs = list(range(1, data.p + 1))
@@ -93,7 +90,7 @@ def estimate_order(
             sub = subs[int(np.argmax(constant))]
             why = "became constant after residualization (exact collinearity)"
             raise ZeroVarianceRow(sub, f"variable {data.labels[sub - 1]} {why}")
-        scores, coef = _scores(x, cfg.g)
+        scores, coef = _scores(x)
         profile = dict(zip(subs, scores.tolist()))
         pick = select_minimum(profile)
         diagnostics.append(profile)
@@ -112,10 +109,13 @@ def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row ``pos``'s coefficients; ``ok[m]`` is false, and ``b[m]`` zero, when a design is
     singular. By Cauchy interlacing one SVD of the largest design tests all smaller
     ones; solves without square roots keep exactly representable results exact.
+    Each matrix is first scaled by a power of two to a largest entry below 1: that is
+    exact, changes no coefficient and keeps the SVD of data near the float limit finite.
     """
     b = np.zeros(gram.shape)
     if gram.shape[1] == 1:
         return b, np.ones(len(gram), dtype=bool)
+    gram = np.ldexp(gram, -np.frexp(np.abs(gram).max(axis=(1, 2)))[1][:, None, None])
     singvals = np.linalg.svd(gram[:, :-1, :-1], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = singvals[:, -1] / singvals[:, 0] >= RCOND_THRESHOLD
@@ -169,8 +169,8 @@ def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     return ConnectionMatrix(b[0][np.ix_(pos, pos)])
 
 
-def fit(data: Dataset, cfg: IndependenceConfig | None = None) -> FittedModel:
+def fit(data: Dataset) -> FittedModel:
     """Full pipeline: estimate the order, then strengths on the original data."""
-    order, diagnostics = estimate_order(data, cfg)
+    order, diagnostics = estimate_order(data)
     strengths = estimate_strengths(data, order)
     return FittedModel(order=order, strengths=strengths, diagnostics=diagnostics)

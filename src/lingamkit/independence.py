@@ -3,21 +3,24 @@
 The score for a candidate variable ``x_j`` against an active set sums,
 over every other active variable ``x_i``, the absolute Pearson
 correlations ``|corr(g(r_i), x_j)| + |corr(r_i, g(x_j))|`` where
-``r_i`` is the residual of ``x_i`` regressed on ``x_j`` and ``g`` is a
-bounded, non-quadratic nonlinearity (tanh). The score is zero when
+``r_i`` is the residual of ``x_i`` regressed on ``x_j`` and ``g`` is
+tanh, a bounded, non-quadratic nonlinearity. The score is zero when
 ``x_j`` is independent of all its residuals, which characterizes an
 exogenous variable; minimizing it selects the next root.
 
 Correlations use 1/n moments on the centered values as given (no
 re-standardization), so the statistic is scale-sensitive by design.
-A correlation whose argument has exactly zero variance contributes 0,
+A correlation whose argument has zero variance contributes exactly 0,
 the limit consistent with independence. One array kernel, ``_scores``,
 scores all candidates of a block at once; the public functions are views of it.
+The second term needs no residual rows: its covariance and variance follow in
+closed form, for all pairs at once, from ``x @ g(x).T`` and the Gram matrix; a
+variance that cancels to zero or below counts as zero. ``g(r_i)`` is formed per
+candidate for every row of the block in one reused buffer: the candidate's own
+residual ``x_j - 1.0 * x_j`` is exactly 0 and so adds exactly 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,71 +28,63 @@ import numpy as np
 from .core import Dataset, _gram, require_centered, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
-NONLINEARITIES = {"tanh": np.tanh}
 
-
-@dataclass(frozen=True)
-class IndependenceConfig:
-    """Choice of nonlinearity ``g``; must be bounded and non-quadratic."""
-
-    nonlinearity: str = "tanh"
-
-    def __post_init__(self):
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ValueError(
-                f"unknown nonlinearity {self.nonlinearity!r}; "
-                f"choose from {sorted(NONLINEARITIES)}"
-            )
-
-    @property
-    def g(self):
-        return NONLINEARITIES[self.nonlinearity]
-
-
-def _abs_corr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|Pearson correlation| of each row of ``a`` with ``b``: 0 where either is
-    constant, NaN where an input is NaN. Centers ``a`` in place."""
-    a -= a.mean(axis=1, keepdims=True)
-    db = b - b.mean()
-    va = np.einsum("ij,ij->i", a, a)
-    vb = db @ db
+def _abs_corr(cov: np.ndarray, var_a: np.ndarray, var_b) -> np.ndarray:
+    """|Pearson correlation| from centered moment sums: 0 where a variance is at
+    most 0 (a constant argument, or one that cancelled), NaN where an input is NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.abs(a @ db) / np.sqrt(va * vb)
-    return np.where((va == 0.0) | (vb == 0.0), 0.0, corr)
+        corr = np.abs(cov) / np.sqrt(var_a * var_b)
+    return np.where((var_a <= 0.0) | (var_b <= 0.0), 0.0, corr)
 
 
-def _scores(x: np.ndarray, g) -> tuple[np.ndarray, np.ndarray]:
+def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every row of a centered ``k x n`` block, and ``coef[i, j]``, the
     ``simple_residual`` coefficient of row ``i`` on row ``j``."""
-    gram = _gram(x - x.mean(axis=1, keepdims=True))
-    coef = gram / np.diagonal(gram)
-    scores = np.empty(len(x))
-    for j, xj in enumerate(x):
-        r = np.delete(x, j, axis=0)
-        r -= np.delete(coef[:, j], j)[:, None] * xj
-        gr = g(r)
-        scores[j] = (_abs_corr_rows(gr, xj) + _abs_corr_rows(r, g(xj))).sum()
+    k, n = x.shape
+    xc = x - x.mean(axis=1, keepdims=True)
+    gram = _gram(xc)
+    var = np.diagonal(gram)
+    coef = gram / var
+    gx = np.tanh(x)
+    gx -= gx.mean(axis=1, keepdims=True)
+    cross = xc @ gx.T  # cross[i, j] = sum of x_i * g(x_j), centered
+    # |corr(r_ij, g(x_j))| for every pair at once: r_ij = x_i - coef_ij * x_j.
+    scores = _abs_corr(
+        cross - coef * np.diagonal(cross), var[:, None] - coef * gram, np.einsum("ij,ij->i", gx, gx)
+    ).sum(axis=0)
+
+    # |corr(g(r_ij), x_j)| per candidate j, from sums over g(r_j), [x_j, 1] and g(r_j)^2.
+    means = xc.mean(axis=1)
+    xj_one = np.ones((n, 2))
+    gr = gx  # no longer needed: reused as the residual buffer
+    for j in range(k):
+        np.multiply(coef[:, j, None], x[j], out=gr)
+        np.subtract(x, gr, out=gr)
+        np.tanh(gr, out=gr)
+        xj_one[:, 0] = xc[j]
+        sum_gx, sum_g = (gr @ xj_one).T
+        sum_gg = np.einsum("ij,ij->i", gr, gr)
+        scores[j] += _abs_corr(sum_gx - sum_g * means[j], sum_gg - sum_g * sum_g / n, var[j]).sum()
     return scores, coef
 
 
-def t_statistic(j: int, active, data: Dataset, cfg: IndependenceConfig | None = None) -> float:
+def t_statistic(j: int, active, data: Dataset) -> float:
     """Nonlinear dependence of variable ``j`` on its single-regressor residuals:
     the entry for ``j`` of ``t_profile`` over the 1-based subscripts ``active``."""
     require_centered(data)
     subs = sorted(set(int(s) for s in active))
     if j not in subs:
         raise NotInActiveSet(f"variable {j} is not in the active set {subs}")
-    return t_profile(subs, data, cfg)[j]
+    return t_profile(subs, data)[j]
 
 
-def t_profile(active, data: Dataset, cfg: IndependenceConfig | None = None) -> dict[int, float]:
+def t_profile(active, data: Dataset) -> dict[int, float]:
     """Score every active candidate; keys ascend so iteration order is fixed."""
-    cfg = cfg or IndependenceConfig()
     require_centered(data)
     subs = sorted(set(int(s) for s in active))
     if len(subs) == 1:
         raise DimensionError("active set needs at least two variables")
-    scores, _ = _scores(data.values[np.array(subs, dtype=int) - 1], cfg.g)
+    scores, _ = _scores(data.values[np.array(subs, dtype=int) - 1])
     return dict(zip(subs, scores.tolist()))
 
 
@@ -101,6 +96,6 @@ def select_minimum(profile: dict[int, float]) -> int:
     return min(subs, key=profile.__getitem__, default=None)
 
 
-def find_most_independent(active, data: Dataset, cfg: IndependenceConfig | None = None) -> int:
+def find_most_independent(active, data: Dataset) -> int:
     """The active variable most independent of its residuals (score argmin)."""
-    return select_minimum(t_profile(active, data, cfg))
+    return select_minimum(t_profile(active, data))

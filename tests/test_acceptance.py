@@ -32,7 +32,6 @@ from lingamkit.cli import main, write_dataset_csv
 from lingamkit.core import find_strict_lower_permutation
 from lingamkit.errors import NoFeasibleAssignment, RankDeficient
 from lingamkit.ica import diagonal_permutation
-from lingamkit.independence import IndependenceConfig
 
 from helpers import (
     CHAIN_B,
@@ -112,8 +111,8 @@ def test_criterion_2_directional_superiority():
 
 def test_criterion_3_guaranteed_convergence():
     params = set(inspect.signature(estimate_order).parameters)
-    config_fields = set(IndependenceConfig.__dataclass_fields__)
-    no_limit_knob = not (params | config_fields) & {
+    params |= set(inspect.signature(fit).parameters)
+    no_limit_knob = not params & {
         "max_iter",
         "max_iterations",
         "iterations",

@@ -34,6 +34,9 @@ def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
         idx = rng.integers(0, data.n, size=data.n)
         try:
             x = center(data.values[:, idx]).values
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(x @ x.T).all():
+                    raise Degenerate
             coefs = {}
             for pos in range(1, data.p):
                 preds = x[[s - 1 for s in seq[:pos]]]
@@ -93,6 +96,15 @@ class TestMatchesPerResampleLoop:
         ds = center(np.random.default_rng(100 + seed).standard_normal((p, n)))
         assert CHUNK_VALUES // (p * n) >= 100
         report = assert_matches_loop(ds, CausalOrder.identity(p), 100, seed=seed)
+        assert report.singular_redraws > 0
+
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4, 5, 8, 9])
+    def test_resamples_whose_gram_overflows_are_redrawn(self, seed):
+        # The point estimate's Gram matrix is finite, some resamples' are not.
+        # Tier-1 turns every warning into an error, so an overflow warning fails here.
+        x1, x2, x3 = np.random.default_rng(seed).standard_normal((3, 100))
+        ds = center(np.vstack([x1, x2, (x3 + x1) * 0.85e153]))
+        report = assert_matches_loop(ds, CausalOrder((1, 2, 3)), 200, seed=seed)
         assert report.singular_redraws > 0
 
     def test_cap_trips_exactly_where_the_loop_does(self):

@@ -133,6 +133,15 @@ class TestMatchesPairLoop:
                 assert list(step) == list(ref_step)
                 assert step == pytest.approx(ref_step, rel=1e-12, abs=0.0)
 
+    def test_large_n(self):
+        # The grid above stops at n = 1000; sums over 20000 terms round differently.
+        data, _ = generate(SynthConfig(p=8, n=20000, network="dense", seed=5))
+        order, diagnostics = estimate_order(data)
+        ref_order, ref_diagnostics = loop_estimate_order(data)
+        assert order.order == ref_order.order
+        for step, ref_step in zip(diagnostics, ref_diagnostics):
+            assert step == pytest.approx(ref_step, rel=1e-12, abs=0.0)
+
     def test_smallest_full_rank_shapes(self):
         rng = np.random.default_rng(7)
         for p in range(2, 21):
@@ -209,6 +218,15 @@ class TestEstimateStrengths:
             estimate_strengths(center(late), CausalOrder.identity(6))
         with pytest.raises(TooFewObservations):
             estimate_strengths(center(x), CausalOrder.identity(6))
+
+    @pytest.mark.parametrize("scale, seed", [(1.2e153, 6), (1.25e153, 3), (1.25e153, 4), (1.25e153, 6)])
+    def test_well_conditioned_data_near_the_float_limit(self, scale, seed):
+        # Every Gram entry is finite, but an SVD of the unscaled Gram matrix
+        # overflows and used to report these designs as singular.
+        x = np.random.default_rng(seed).standard_normal((3, 100))
+        order = CausalOrder((1, 2, 3))
+        b = estimate_strengths(center(x * scale), order)
+        assert b.entries == pytest.approx(estimate_strengths(center(x), order).entries, rel=1e-12)
 
     @pytest.mark.parametrize("factor, singular", [(1.001, False), (0.999, True)])
     def test_rcond_boundary(self, factor, singular):
