@@ -35,7 +35,6 @@ from .evaluation import (
 )
 from .ica import (
     BaselineModel,
-    FastIcaConfig,
     b_from_unmixing,
     diagonal_permutation,
     fastica,
@@ -43,7 +42,7 @@ from .ica import (
     prune_and_order,
 )
 from .independence import find_most_independent, t_profile, t_statistic
-from .synth import GroundTruthModel, SynthConfig, generate, random_model, sample_non_gaussian
+from .synth import GroundTruthModel, generate, random_model, sample_non_gaussian
 
 __all__ = [
     "BaselineModel",
@@ -54,10 +53,8 @@ __all__ = [
     "Dataset",
     "EdgeInterval",
     "EvaluationReport",
-    "FastIcaConfig",
     "FittedModel",
     "GroundTruthModel",
-    "SynthConfig",
     "b_from_unmixing",
     "bootstrap_cis",
     "center",

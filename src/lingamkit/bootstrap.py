@@ -6,8 +6,8 @@ and re-runs the least-squares strength estimation for the given order.
 Every coefficient that the order allows gets an empirical distribution, a
 percentile interval with linearly interpolated quantiles, and a
 significance flag set when the interval excludes zero. Degenerate
-resamples (a constant row, a singular design, or a Gram matrix that
-overflows) are redrawn, up to a cap.
+resamples (a constant row, a singular design, or an overflow in a Gram
+entry that a regression reads) are redrawn, up to a cap.
 
 Resamples run in chunks of ``CHUNK_VALUES`` gathered values (1 MB), each
 centered, multiplied out by one batched matmul and solved by the kernel of
@@ -24,7 +24,7 @@ import numpy as np
 
 # ``center`` stays importable here: perfbench/spans.py wraps it by name.
 from .core import Dataset, _as_order, center  # noqa: F401
-from .direct import _ordered_least_squares, estimate_strengths
+from .direct import _design_gram, _ordered_least_squares, estimate_strengths
 from .errors import TooManySingularResamples
 
 CHUNK_VALUES = 2**17
@@ -72,12 +72,12 @@ class BootstrapReport:
 def bootstrap_cis(
     data: Dataset,
     order,
+    rng: np.random.Generator,
     level: float = 0.99,
     resamples: int = 2000,
-    rng: np.random.Generator | None = None,
     max_redraws: int | None = None,
 ) -> BootstrapReport:
-    """Percentile intervals for all coefficients under a fixed ordering.
+    """Percentile intervals for all coefficients under a fixed ordering, resampled with ``rng``.
 
     ``max_redraws`` bounds the total number of degenerate resamples
     tolerated before ``TooManySingularResamples`` is raised; it
@@ -88,7 +88,6 @@ def bootstrap_cis(
     if resamples < 100:
         raise ValueError("use at least 100 resamples")
     order = _as_order(order, data.p)
-    rng = np.random.default_rng(0) if rng is None else rng
     cap = resamples if max_redraws is None else max_redraws
 
     # Raises for p > n, so every resample below has fewer predictors than n.
@@ -105,9 +104,7 @@ def bootstrap_cis(
         picks = [rng.integers(0, data.n, size=data.n) for _ in range(min(chunk, resamples - done))]
         x = np.take(values, picks, axis=1).transpose(1, 0, 2)
         x = x - x.mean(axis=2, keepdims=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = x @ x.transpose(0, 2, 1)
-        finite = np.isfinite(gram).all(axis=(1, 2))
+        gram, finite = _design_gram(x)
         gram[~finite] = 0.0
         b, ok = _ordered_least_squares(gram)
         ok &= finite & ~np.any(x.max(axis=2) == x.min(axis=2), axis=1)

@@ -29,8 +29,8 @@ from .errors import (
     SchemaVersionError,
 )
 from .evaluation import BenchmarkGrid, run_benchmark
-from .ica import FastIcaConfig, ica_lingam_fit
-from .synth import SynthConfig, generate
+from .ica import ica_lingam_fit
+from .synth import generate
 
 SCHEMA_MAJOR = 1
 SCHEMA_MINOR = 0
@@ -223,7 +223,7 @@ def _cmd_fit(args) -> int:
         converged = None
         printable = strengths
     else:
-        baseline = ica_lingam_fit(data, FastIcaConfig(seed=args.seed))
+        baseline = ica_lingam_fit(data, np.random.default_rng(args.seed))
         order, strengths = baseline.order, baseline.strengths
         diagnostics = ()
         pruned = _matrix_rows(baseline.pruned)
@@ -251,8 +251,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     network = "random-choice" if args.network == "random" else args.network
-    cfg = SynthConfig(p=args.p, n=args.n, network=network, seed=args.seed)
-    dataset, truth = generate(cfg)
+    dataset, truth = generate(args.p, args.n, network, np.random.default_rng(args.seed))
     write_dataset_csv(args.out_data, dataset)
     payload = {
         "schema": _schema("lingamkit-truth"),
@@ -304,9 +303,9 @@ def _cmd_bootstrap(args) -> int:
     report = bootstrap_cis(
         data,
         CausalOrder(doc.order),
+        np.random.default_rng(args.seed),
         level=args.level,
         resamples=args.resamples,
-        rng=np.random.default_rng(args.seed),
     )
     payload = {
         "schema": _schema("lingamkit-edges"),

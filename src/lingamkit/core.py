@@ -7,6 +7,10 @@ Conventions used throughout the package:
 * Variable *subscripts* are 1-based (``x1 .. xp``), matching generated
   labels and printed output. Anything named ``indices`` is 0-based and
   meant for numpy indexing.
+* A ``Dataset`` is always centered: construction rejects a row whose
+  mean is off zero by more than ``CENTERED_TOL`` relative to its max
+  magnitude, so estimators take any ``Dataset`` as centered data.
+  ``center()`` builds one from raw values.
 * Sample moments use the 1/n divisor. Regression coefficients are
   ratios of moments, so estimates do not depend on this choice; it is
   fixed here so that every statistic in the package is reproducible to
@@ -60,16 +64,14 @@ def _gram(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A ``p x n`` observation matrix, one variable per row.
+    """A centered ``p x n`` observation matrix, one variable per row.
 
-    Rejects NaN or infinite entries and constant rows at construction;
-    when ``centered`` is set, every row mean must already be zero to
-    within ``CENTERED_TOL`` relative to the row's max magnitude.
+    Rejects NaN or infinite entries, constant rows, and rows whose mean is
+    not zero to within ``CENTERED_TOL`` relative to the row's max magnitude.
     """
 
     values: np.ndarray
     labels: tuple[str, ...]
-    centered: bool
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -86,12 +88,12 @@ class Dataset:
         _require_finite(arr)
         constant = arr.max(axis=1) == arr.min(axis=1)  # ptp can overflow
         means, off = _off_center(arr)
-        bad = constant | (off & self.centered)
+        bad = constant | off
         if bad.any():
             i = int(np.argmax(bad))
             if constant[i]:
                 raise ZeroVarianceRow(i + 1)
-            raise DimensionError(f"row {i + 1} marked centered but has mean {means[i]:g}")
+            raise DimensionError(f"row {i + 1} has mean {means[i]:g}; run center() first")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "labels", labels)
@@ -111,12 +113,6 @@ class Dataset:
 
 def default_labels(p: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, p + 1))
-
-
-def require_centered(data: Dataset) -> Dataset:
-    if not data.centered:
-        raise DimensionError("dataset must be centered; run center() first")
-    return data
 
 
 def center(raw, labels=None) -> Dataset:
@@ -139,7 +135,7 @@ def center(raw, labels=None) -> Dataset:
         values[off] -= means[off, None]
     if labels is None:
         labels = default_labels(p)
-    return Dataset(values, tuple(labels), centered=True)
+    return Dataset(values, tuple(labels))
 
 
 @dataclass(frozen=True)

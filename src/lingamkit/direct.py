@@ -36,10 +36,15 @@ from .core import (  # noqa: F401
     _off_center,
     center,
     permute_matrix,
-    require_centered,
     simple_residual,
 )
-from .errors import DimensionError, SingularDesign, TooFewObservations, ZeroVarianceRow
+from .errors import (
+    DimensionError,
+    NonFiniteValue,
+    SingularDesign,
+    TooFewObservations,
+    ZeroVarianceRow,
+)
 from .independence import _scores, select_minimum, t_profile  # noqa: F401
 
 
@@ -76,7 +81,6 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
     ``ZeroVariance``) if a residual row collapses to a constant, which
     signals exact collinearity in the input.
     """
-    require_centered(data)
     x = np.array(data.values)
     subs = list(range(1, data.p + 1))
     order: list[int] = []
@@ -109,13 +113,15 @@ def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row ``pos``'s coefficients; ``ok[m]`` is false, and ``b[m]`` zero, when a design is
     singular. By Cauchy interlacing one SVD of the largest design tests all smaller
     ones; solves without square roots keep exactly representable results exact.
-    Each matrix is first scaled by a power of two to a largest entry below 1: that is
-    exact, changes no coefficient and keeps the SVD of data near the float limit finite.
+    The last diagonal entry, the last row's own sum of squares, is never read and may
+    be inf. Each matrix is first scaled by a power of two to a largest read entry below
+    1: that is exact, changes no coefficient and keeps the SVD of data near the float
+    limit finite.
     """
     b = np.zeros(gram.shape)
     if gram.shape[1] == 1:
         return b, np.ones(len(gram), dtype=bool)
-    gram = np.ldexp(gram, -np.frexp(np.abs(gram).max(axis=(1, 2)))[1][:, None, None])
+    gram = np.ldexp(gram, -np.frexp(np.abs(gram[:, :, :-1]).max(axis=(1, 2)))[1][:, None, None])
     singvals = np.linalg.svd(gram[:, :-1, :-1], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = singvals[:, -1] / singvals[:, 0] >= RCOND_THRESHOLD
@@ -123,6 +129,14 @@ def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for pos in range(1, gram.shape[1]):
         b[ok, pos, :pos] = np.linalg.solve(good[:, :pos, :pos], good[:, :pos, pos, None])[..., 0]
     return b, ok
+
+
+def _design_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices over the last two axes of centered data in causal order, and
+    whether every entry that ``_ordered_least_squares`` reads is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ np.swapaxes(x, -1, -2)
+    return gram, np.isfinite(gram[..., :-1]).all(axis=(-2, -1))
 
 
 def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
@@ -151,16 +165,18 @@ def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     """Least-squares strengths of each variable on all earlier variables in ``order``.
 
     Entries at or above the diagonal of the order-permuted matrix are
-    exact zeros by construction. Raises ``SingularDesign`` for a singular
+    exact zeros by construction. Raises ``NonFiniteValue`` when a Gram entry
+    that a regression reads overflows, ``SingularDesign`` for a singular
     design, else ``TooFewObservations`` when a variable has at least as
     many predecessors as there are observations (the
     more-variables-than-observations regime, where least squares is undefined).
     """
-    require_centered(data)
     order = _as_order(order, data.p)
-    x = data.values[order.indices]
     # n or more predictors are singular by rank: test only the smaller designs.
-    b, ok = _ordered_least_squares(_gram(x)[None, : data.n, : data.n])
+    gram, finite = _design_gram(data.values[order.indices[: data.n]])
+    if not finite:
+        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
+    b, ok = _ordered_least_squares(gram[None])
     if not ok[0]:
         raise SingularDesign("predictor Gram matrix is numerically singular")
     if data.p > data.n:

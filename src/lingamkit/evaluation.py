@@ -33,8 +33,8 @@ import numpy as np
 from . import direct
 from .core import ConnectionMatrix, _as_order, permute_matrix
 from .errors import DimensionMismatch, LingamError
-from .ica import FastIcaConfig, ica_lingam_fit
-from .synth import SynthConfig, generate
+from .ica import ica_lingam_fit
+from .synth import check_size, generate
 
 ESTIMATORS = ("direct", "ica_baseline")
 
@@ -64,7 +64,8 @@ def frobenius_distance(b_true, b_hat) -> float:
 @dataclass(frozen=True)
 class BenchmarkGrid:
     """Sweep definition. Defaults reproduce the full evaluation protocol
-    (4 x 8 cells, 501 trials each); pass smaller lists for smoke runs."""
+    (4 x 8 cells, 501 trials each); pass smaller lists for smoke runs.
+    Every (p, n) must pass ``synth.check_size``, checked before any trial runs."""
 
     p_values: tuple[int, ...] = (10, 20, 50, 100)
     n_values: tuple[int, ...] = (30, 50, 80, 200, 500, 1000, 2000, 5000)
@@ -82,6 +83,7 @@ class BenchmarkGrid:
             raise ValueError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
         object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        check_size(min(self.p_values), min(self.n_values))
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
@@ -228,8 +230,7 @@ def _run_trial(grid: BenchmarkGrid, cell_index: int, p: int, n: int, trial: int)
     data_seq, est_seq = np.random.SeedSequence(
         grid.master_seed, spawn_key=(cell_index, trial)
     ).spawn(2)
-    cfg = SynthConfig(p=p, n=n, network="random-choice")
-    data, truth = generate(cfg, rng=np.random.default_rng(data_seq))
+    data, truth = generate(p, n, "random-choice", np.random.default_rng(data_seq))
     b_obs = truth.observed_matrix()
     est_seed = int(est_seq.generate_state(1)[0])
 
@@ -244,7 +245,7 @@ def _run_trial(grid: BenchmarkGrid, cell_index: int, p: int, n: int, trial: int)
                 oe = order_errors(b_obs, order)
                 b_hat = direct.estimate_strengths(data, order)
             else:
-                baseline = ica_lingam_fit(data, FastIcaConfig(seed=est_seed))
+                baseline = ica_lingam_fit(data, np.random.default_rng(est_seed))
                 oe = order_errors(b_obs, baseline.order)
                 b_hat = baseline.strengths
             fr = frobenius_distance(b_obs, b_hat)

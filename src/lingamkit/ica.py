@@ -30,7 +30,6 @@ from .core import (
     RCOND_THRESHOLD,
     find_strict_lower_permutation,
     permute_matrix,
-    require_centered,
 )
 from .errors import (
     DimensionError,
@@ -40,27 +39,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FastIcaConfig:
-    """Fixed-point ICA settings. The contrast is always tanh and the scheme
-    always deflation, so neither is a setting.
-
-    ``restarts`` counts random re-initializations tried per component
-    after the first attempt fails to converge within
-    ``max_iterations``; a component that exhausts them keeps its last
-    direction and flips the converged flag instead of aborting.
-    """
-
-    max_iterations: int = 1000
-    tolerance: float = 1e-6
-    restarts: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+# Fixed-point ICA settings. The contrast is always tanh and the scheme always
+# deflation. A component whose iteration has not converged within
+# MAX_ITERATIONS is re-initialized at random up to RESTARTS times; one that
+# exhausts them keeps its last direction and clears the converged flag.
+MAX_ITERATIONS = 1000
+TOLERANCE = 1e-6
+RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -93,36 +78,33 @@ def _whiten(values: np.ndarray) -> np.ndarray:
     return (eigvecs / np.sqrt(eigvals)).T
 
 
-def fastica(data: Dataset, cfg: FastIcaConfig | None = None) -> tuple[np.ndarray, bool]:
+def fastica(data: Dataset, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Estimate a ``p x p`` unmixing matrix by deflationary fixed-point iteration.
 
     Returns ``(unmixing, converged)``. Requires ``p <= n`` and a
     positive definite sample covariance (``RankDeficient`` otherwise).
     Rows of ``unmixing @ data.values`` are the estimated independent
-    components, recovered up to permutation and scaling.
+    components, recovered up to permutation and scaling. Every starting
+    direction is drawn from ``rng``.
     """
-    cfg = cfg or FastIcaConfig()
-    require_centered(data)
     if data.p > data.n:
         raise RankDeficient(f"p={data.p} exceeds n={data.n}; covariance cannot be full rank")
     whitener = _whiten(data.values)
     z = whitener @ data.values
 
-    rng = np.random.default_rng(cfg.seed)
     p = data.p
     rotation = np.zeros((p, p))
     all_converged = True
     for comp in range(p):
-        w = np.zeros(p)
         comp_converged = False
-        for _attempt in range(cfg.restarts + 1):
+        for _attempt in range(RESTARTS + 1):
             w = rng.standard_normal(p)
             w -= rotation[:comp].T @ (rotation[:comp] @ w)
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 continue
             w /= norm
-            for _ in range(cfg.max_iterations):
+            for _ in range(MAX_ITERATIONS):
                 wz = w @ z
                 gwz = np.tanh(wz)
                 w_new = (z * gwz).mean(axis=1) - (1.0 - gwz**2).mean() * w
@@ -134,7 +116,7 @@ def fastica(data: Dataset, cfg: FastIcaConfig | None = None) -> tuple[np.ndarray
                 w_new /= norm
                 drift = abs(abs(float(w_new @ w)) - 1.0)
                 w = w_new
-                if drift < cfg.tolerance:
+                if drift < TOLERANCE:
                     comp_converged = True
                     break
             if comp_converged:
@@ -197,10 +179,9 @@ def prune_and_order(b_hat: ConnectionMatrix) -> tuple[CausalOrder, ConnectionMat
     return find_strict_lower_permutation(pruned), ConnectionMatrix(pruned)
 
 
-def ica_lingam_fit(data: Dataset, cfg: FastIcaConfig | None = None) -> BaselineModel:
-    """Run the five-step baseline end to end."""
-    cfg = cfg or FastIcaConfig()
-    unmixing, converged = fastica(data, cfg)
+def ica_lingam_fit(data: Dataset, rng: np.random.Generator) -> BaselineModel:
+    """Run the five-step baseline end to end; FastICA draws its starts from ``rng``."""
+    unmixing, converged = fastica(data, rng)
     w_tilde, _ = diagonal_permutation(unmixing)
     strengths = b_from_unmixing(w_tilde)
     order, pruned = prune_and_order(strengths)

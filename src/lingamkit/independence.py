@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 # ``simple_residual`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import Dataset, _gram, require_centered, simple_residual  # noqa: F401
+from .core import Dataset, _gram, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
 
@@ -71,7 +71,6 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def t_statistic(j: int, active, data: Dataset) -> float:
     """Nonlinear dependence of variable ``j`` on its single-regressor residuals:
     the entry for ``j`` of ``t_profile`` over the 1-based subscripts ``active``."""
-    require_centered(data)
     subs = sorted(set(int(s) for s in active))
     if j not in subs:
         raise NotInActiveSet(f"variable {j} is not in the active set {subs}")
@@ -80,7 +79,6 @@ def t_statistic(j: int, active, data: Dataset) -> float:
 
 def t_profile(active, data: Dataset) -> dict[int, float]:
     """Score every active candidate; keys ascend so iteration order is fixed."""
-    require_centered(data)
     subs = sorted(set(int(s) for s in active))
     if len(subs) == 1:
         raise DimensionError("active set needs at least two variables")

@@ -2,7 +2,7 @@
 
 Each trial builds a random strictly lower triangular strength matrix
 (dense or sparse), rescales every row so that the standard deviation of
-the summed parent contribution lands uniformly in a configured interval
+the summed parent contribution lands uniformly in ``PARENT_STD_RANGE``
 (computed analytically from the covariances fixed so far, not by
 rejection), draws non-Gaussian external influences by power-transforming
 standard Gaussians, propagates the structural equations in causal
@@ -25,51 +25,23 @@ from .core import CausalOrder, ConnectionMatrix, Dataset, center, default_labels
 
 NETWORKS = ("dense", "sparse", "random-choice")
 
+# The generation protocol. ``Q_RANGES`` holds the two exponent intervals for the
+# ``sign(z)|z|^q`` noise transform, one sub-Gaussian and one super-Gaussian; each
+# draw picks one with equal probability. ``WEIGHT_FLOOR`` excludes provisional
+# edge weights below that magnitude, keeping models away from unfaithful
+# parameter cancellations.
+PARENT_STD_RANGE = (0.5, 1.5)
+NOISE_STD_RANGE = (0.5, 1.5)
+Q_RANGES = ((0.5, 0.8), (1.2, 2.0))
+WEIGHT_FLOOR = 0.1
 
-def _check_interval(name: str, interval) -> tuple[float, float]:
-    lo, hi = (float(interval[0]), float(interval[1]))
-    if not (0 < lo <= hi):
-        raise ValueError(f"{name} must be a positive ordered interval, got {interval}")
-    return lo, hi
 
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Generation protocol parameters.
-
-    ``q_ranges`` holds the two exponent intervals for the
-    ``sign(z)|z|^q`` noise transform, one sub-Gaussian and one
-    super-Gaussian; each draw picks an interval with equal probability.
-    ``weight_floor`` excludes provisional edge weights below that
-    magnitude so models stay comfortably away from unfaithful
-    parameter cancellations.
-    """
-
-    p: int
-    n: int
-    network: str = "random-choice"
-    parent_std_range: tuple[float, float] = (0.5, 1.5)
-    noise_std_range: tuple[float, float] = (0.5, 1.5)
-    q_ranges: tuple[tuple[float, float], tuple[float, float]] = ((0.5, 0.8), (1.2, 2.0))
-    weight_floor: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.network not in NETWORKS:
-            raise ValueError(f"network must be one of {NETWORKS}")
-        _check_interval("parent_std_range", self.parent_std_range)
-        _check_interval("noise_std_range", self.noise_std_range)
-        for rng_pair in self.q_ranges:
-            _check_interval("q_ranges", rng_pair)
-        if not (0 <= self.weight_floor < 1):
-            raise ValueError("weight_floor must lie in [0, 1)")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+def check_size(p: int, n: int) -> None:
+    """The shape rule of ``generate``: ``ValueError`` unless p >= 1 and n >= 2."""
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if n < 2:
+        raise ValueError("n must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -116,7 +88,7 @@ def _lower_mask(p: int, network: str, rng: np.random.Generator) -> np.ndarray:
             return mask
 
 
-def random_model(cfg: SynthConfig, rng: np.random.Generator | None = None) -> GroundTruthModel:
+def random_model(p: int, network: str, rng: np.random.Generator) -> GroundTruthModel:
     """Draw a ground-truth model (no data yet; shuffle starts as identity).
 
     Row rescaling uses the exact covariance recursion: when row ``i``
@@ -124,24 +96,26 @@ def random_model(cfg: SynthConfig, rng: np.random.Generator | None = None) -> Gr
     deviation, the covariances of ``x_i`` with earlier variables are
     updated analytically before the next row is processed.
     """
-    rng = cfg.rng() if rng is None else rng
-    p = cfg.p
-    mask = _lower_mask(p, cfg.network, rng)
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if network not in NETWORKS:
+        raise ValueError(f"network must be one of {NETWORKS}")
+    mask = _lower_mask(p, network, rng)
 
     b = np.zeros((p, p))
     n_edges = int(mask.sum())
     signs = rng.integers(0, 2, size=n_edges) * 2 - 1
-    mags = rng.uniform(cfg.weight_floor, 1.0, size=n_edges)
+    mags = rng.uniform(WEIGHT_FLOOR, 1.0, size=n_edges)
     b[mask] = signs * mags
 
-    noise_stds = rng.uniform(*cfg.noise_std_range, size=p)
+    noise_stds = rng.uniform(*NOISE_STD_RANGE, size=p)
 
     cov = np.zeros((p, p))
     for i in range(p):
         row = b[i, :i]
         if row.any():
             contrib_var = float(row @ cov[:i, :i] @ row)
-            target = rng.uniform(*cfg.parent_std_range)
+            target = rng.uniform(*PARENT_STD_RANGE)
             b[i, :i] = row * (target / np.sqrt(contrib_var))
         cross = cov[:i, :i] @ b[i, :i]
         cov[i, :i] = cross
@@ -149,7 +123,7 @@ def random_model(cfg: SynthConfig, rng: np.random.Generator | None = None) -> Gr
         cov[i, i] = float(b[i, :i] @ cross) + noise_stds[i] ** 2
 
     choices = rng.integers(0, 2, size=p)
-    exponents = np.array([rng.uniform(*cfg.q_ranges[c]) for c in choices])
+    exponents = np.array([rng.uniform(*Q_RANGES[c]) for c in choices])
 
     return GroundTruthModel(
         b_true=ConnectionMatrix(b),
@@ -177,7 +151,7 @@ def sample_non_gaussian(n: int, q: float, rng: np.random.Generator) -> np.ndarra
 
 
 def generate(
-    cfg: SynthConfig, rng: np.random.Generator | None = None
+    p: int, n: int, network: str, rng: np.random.Generator
 ) -> tuple[Dataset, GroundTruthModel]:
     """Sample one dataset: draw a model, propagate it, shuffle rows, center.
 
@@ -185,9 +159,8 @@ def generate(
     is recorded in the returned model's ``shuffle`` so metrics can be
     computed in emitted coordinates via ``observed_matrix()``.
     """
-    rng = cfg.rng() if rng is None else rng
-    model = random_model(cfg, rng)
-    p, n = cfg.p, cfg.n
+    check_size(p, n)
+    model = random_model(p, network, rng)
     b = model.b_true.entries
 
     e = np.empty((p, n))

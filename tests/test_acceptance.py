@@ -14,7 +14,6 @@ import numpy as np
 from lingamkit import (
     BenchmarkGrid,
     CausalOrder,
-    SynthConfig,
     bootstrap_cis,
     center,
     estimate_order,
@@ -143,7 +142,7 @@ def test_criterion_4_complexity_scaling():
         samples = []
         for trial in range(20):
             rng = np.random.default_rng(7000 + trial)
-            data, _ = generate(SynthConfig(p=p, n=1000, network="dense"), rng=rng)
+            data, _ = generate(p, 1000, "dense", rng)
             start = time.perf_counter()
             estimate_order(data)
             samples.append(time.perf_counter() - start)
@@ -164,7 +163,7 @@ def test_criterion_5_more_variables_than_observations():
     order, diagnostics = estimate_order(ds)
     order_ok = sorted(order.order) == list(range(1, 21)) and len(diagnostics) == 19
     try:
-        fastica(ds)
+        fastica(ds, np.random.default_rng(0))
         ica_raised = False
     except RankDeficient:
         ica_raised = True
@@ -256,8 +255,7 @@ def test_criterion_8_synth_fidelity():
 
     stds_ok = True
     for seed in range(10):
-        cfg = SynthConfig(p=5, n=100, network="dense", seed=seed)
-        model = random_model(cfg, cfg.rng())
+        model = random_model(5, "dense", np.random.default_rng(seed))
         cov = analytic_covariance(model.b_true.entries, model.noise_stds)
         for i in range(1, 5):
             row = model.b_true.entries[i]
@@ -265,21 +263,21 @@ def test_criterion_8_synth_fidelity():
             stds_ok = stds_ok and (0.5 - 1e-9 <= std <= 1.5 + 1e-9)
 
     # x = Ae at machine precision, checked by replaying the generator's draws
-    cfg = SynthConfig(p=6, n=500, network="dense", seed=88)
-    data, truth = generate(cfg)
-    rng = cfg.rng()
-    model = random_model(cfg, rng)
+    p, n = 6, 500
+    data, truth = generate(p, n, "dense", np.random.default_rng(88))
+    rng = np.random.default_rng(88)
+    model = random_model(p, "dense", rng)
     b = model.b_true.entries
     e = np.vstack(
         [
-            model.noise_stds[i] * sample_non_gaussian(cfg.n, model.exponents[i], rng)
-            for i in range(cfg.p)
+            model.noise_stds[i] * sample_non_gaussian(n, model.exponents[i], rng)
+            for i in range(p)
         ]
     )
     x = np.empty_like(e)
-    for i in range(cfg.p):
+    for i in range(p):
         x[i] = e[i] + b[i, :i] @ x[:i]
-    mixed = np.linalg.inv(np.eye(cfg.p) - b) @ e
+    mixed = np.linalg.inv(np.eye(p) - b) @ e
     mixing_dev = float(np.max(np.abs(x - mixed)) / np.abs(x).max())
     mixing_ok = np.array_equal(model.b_true.entries, truth.b_true.entries) and mixing_dev < 1e-12
 

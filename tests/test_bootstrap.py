@@ -22,6 +22,8 @@ class Degenerate(Exception):
 
 def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
     """One resample at a time: center, then one SVD-checked solve per variable.
+    A resample is redrawn when a Gram entry overflows, except the last variable's
+    own sum of squares, which no regression reads.
 
     Returns ``(lower, upper, redraws)`` with the slots in the order the
     report lists its edges.
@@ -35,8 +37,10 @@ def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
         try:
             x = center(data.values[:, idx]).values
             with np.errstate(over="ignore", invalid="ignore"):
-                if not np.isfinite(x @ x.T).all():
-                    raise Degenerate
+                gram = x @ x.T
+            gram[seq[-1] - 1, seq[-1] - 1] = 0.0
+            if not np.isfinite(gram).all():
+                raise Degenerate
             coefs = {}
             for pos in range(1, data.p):
                 preds = x[[s - 1 for s in seq[:pos]]]
@@ -64,7 +68,7 @@ def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
 def assert_matches_loop(data, order, resamples, seed, max_redraws=None):
     cap = resamples if max_redraws is None else max_redraws
     rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    report = bootstrap_cis(data, order, 0.95, resamples, rng, max_redraws)
+    report = bootstrap_cis(data, order, rng, 0.95, resamples, max_redraws)
     lower, upper, redraws = loop_bootstrap(data, order, 0.95, resamples, loop_rng, cap)
     assert report.singular_redraws == redraws
     got_lower = np.array([e.lower for e in report.edges])
@@ -100,12 +104,22 @@ class TestMatchesPerResampleLoop:
 
     @pytest.mark.parametrize("seed", [0, 2, 3, 4, 5, 8, 9])
     def test_resamples_whose_gram_overflows_are_redrawn(self, seed):
-        # The point estimate's Gram matrix is finite, some resamples' are not.
+        # The point estimate's Gram matrix is finite, some resamples' are not:
+        # x1 is regressed on the large variable, so its sum of squares is read.
         # Tier-1 turns every warning into an error, so an overflow warning fails here.
+        x1, x2, x3 = np.random.default_rng(seed).standard_normal((3, 100))
+        ds = center(np.vstack([x1, (x3 + x1) * 0.85e153]))
+        report = assert_matches_loop(ds, CausalOrder((2, 1)), 200, seed=seed)
+        assert report.singular_redraws > 0
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_overflow_of_the_unread_entry_is_not_redrawn(self, seed):
+        # The same large variable last in the order: only its own sum of squares
+        # overflows, and no regression reads it.
         x1, x2, x3 = np.random.default_rng(seed).standard_normal((3, 100))
         ds = center(np.vstack([x1, x2, (x3 + x1) * 0.85e153]))
         report = assert_matches_loop(ds, CausalOrder((1, 2, 3)), 200, seed=seed)
-        assert report.singular_redraws > 0
+        assert report.singular_redraws == 0
 
     def test_cap_trips_exactly_where_the_loop_does(self):
         ds = center(np.random.default_rng(3).standard_normal((2, 3)))
@@ -114,7 +128,7 @@ class TestMatchesPerResampleLoop:
         assert_matches_loop(ds, order, 100, seed=9, max_redraws=redraws)
         with pytest.raises(TooManySingularResamples):
             bootstrap_cis(
-                ds, order, resamples=100, rng=np.random.default_rng(9), max_redraws=redraws - 1
+                ds, order, np.random.default_rng(9), resamples=100, max_redraws=redraws - 1
             )
 
 
@@ -190,15 +204,15 @@ class TestValidationAndFailure:
     def test_rejects_bad_level_and_resamples(self):
         ds = chain_dataset(100, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bootstrap_cis(ds, (1, 2, 3), level=1.0)
+            bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), level=1.0)
         with pytest.raises(ValueError):
-            bootstrap_cis(ds, (1, 2, 3), resamples=50)
+            bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), resamples=50)
 
     def test_propagates_too_few_observations(self):
         rng = np.random.default_rng(1)
         ds = center(rng.uniform(-1, 1, size=(5, 4)))
         with pytest.raises(TooFewObservations):
-            bootstrap_cis(ds, CausalOrder.identity(5))
+            bootstrap_cis(ds, CausalOrder.identity(5), np.random.default_rng(0))
 
     def test_singular_resample_cap(self):
         # Tiny n makes degenerate resamples (all-equal columns) likely;

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lingamkit import Dataset, SynthConfig, center, generate
+from lingamkit import Dataset, center, evaluation, generate
 from lingamkit.cli import ModelDocument, load_csv, main, write_dataset_csv
 from lingamkit.errors import NonNumericCell, ParseError, RaggedRows
 
@@ -64,7 +64,7 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        data, _ = generate(SynthConfig(p=4, n=50, seed=3))
+        data, _ = generate(4, 50, "random-choice", np.random.default_rng(3))
         path = tmp_path / "round.csv"
         write_dataset_csv(path, data)
         loaded = load_csv(str(path))
@@ -137,7 +137,7 @@ class TestParseParity:
         half[:, :4] = [-0.0, 5e-324, 1e308, 0.1]
         # (v, -v) pairs sum to exactly zero, so every row is already centered
         values = np.stack([half, -half], axis=-1).reshape(3, 80)
-        data = Dataset(values, ("a", "b", "c"), centered=True)
+        data = Dataset(values, ("a", "b", "c"))
         path = tmp_path / "r.csv"
         write_dataset_csv(path, data)
         loaded = load_csv(str(path))
@@ -148,8 +148,8 @@ class TestParseParity:
 class TestWriteDatasetCsv:
     def test_bytes_match_csv_writer_with_repr(self, tmp_path):
         labels = ("plain", "with,comma", 'with"quote', " spaced ")
-        data, _ = generate(SynthConfig(p=4, n=30, seed=5))
-        data = Dataset(data.values, labels, centered=True)
+        data, _ = generate(4, 30, "random-choice", np.random.default_rng(5))
+        data = Dataset(data.values, labels)
         path = tmp_path / "w.csv"
         write_dataset_csv(path, data)
         expected = io.StringIO(newline="")
@@ -346,6 +346,27 @@ class TestCommands:
         run_cli("benchmark", "--grid", grid, "--out", tmp_path / "r1.json")
         run_cli("benchmark", "--grid", grid, "--out", tmp_path / "r2.json", "--threads", 4)
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+    def test_benchmark_bad_n_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # The n=1000 cells come first; the grid must fail before running them.
+        trials = []
+        monkeypatch.setattr(evaluation, "_run_trial", lambda *task: trials.append(task))
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            json.dumps(
+                {
+                    "schema": {"name": "lingamkit-grid", "major": 1, "minor": 0},
+                    "p_values": [4],
+                    "n_values": [1000, 1],
+                    "trials": 2,
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
+        assert capsys.readouterr().err == "ValueError: n must be at least 2\n"
+        assert trials == []
+        assert not out.exists()
 
     def test_missing_file_gives_error_code(self, tmp_path, capsys):
         code = run_cli("fit", "--input", tmp_path / "nope.csv", "--output", tmp_path / "m.json")

@@ -28,7 +28,6 @@ class TestCenter:
     def test_subtracts_row_mean(self):
         ds = center([[1.0, 2.0, 3.0]])
         assert ds.values.tolist() == [[-1.0, 0.0, 1.0]]
-        assert ds.centered
 
     def test_already_centered_row_is_untouched_bitwise(self):
         first = center([[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]])
@@ -50,7 +49,7 @@ class TestCenter:
         with pytest.raises(NonFiniteValue, match="row 2, observation 2"):
             center(raw)
         with pytest.raises(NonFiniteValue):
-            Dataset(np.array(raw), ("a", "b"), centered=False)
+            Dataset(np.array(raw), ("a", "b"))
 
     def test_large_offsets_center_once_and_stay_put(self):
         # Rows with a mean large against their spread used to keep a rounding
@@ -79,8 +78,10 @@ class TestDataset:
             ds.values[0, 0] = 9.0
 
     def test_centered_flag_checked(self):
-        with pytest.raises(DimensionError):
-            Dataset(np.array([[1.0, 2.0, 3.0]]), ("x1",), centered=True)
+        # Every Dataset is centered: construction checks the row means.
+        with pytest.raises(DimensionError, match=r"row 1 has mean 2; run center\(\) first"):
+            Dataset(np.array([[1.0, 2.0, 3.0]]), ("x1",))
+        Dataset(np.array([[-1.0, 0.0, 1.0]]), ("x1",))
 
     def test_row_accessor_uses_subscripts(self):
         ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])

@@ -4,7 +4,6 @@ import pytest
 from lingamkit import (
     CausalOrder,
     Dataset,
-    SynthConfig,
     bootstrap_cis,
     center,
     estimate_order,
@@ -96,7 +95,7 @@ class TestEstimateOrder:
             fit,
             lambda data: estimate_strengths(data, CausalOrder((1, 2, 3))),
             lambda data: multi_least_squares(data.values[0], data.values[1:]),
-            lambda data: bootstrap_cis(data, CausalOrder((1, 2, 3))),
+            lambda data: bootstrap_cis(data, CausalOrder((1, 2, 3)), np.random.default_rng(0)),
         ],
         ids=["fit", "estimate_strengths", "multi_least_squares", "bootstrap_cis"],
     )
@@ -125,7 +124,7 @@ class TestMatchesPairLoop:
             p = int(rng.integers(2, 21))
             n = int(rng.integers(p + 1, 1001))
             network = ("dense", "sparse")[trial % 2]
-            data, _ = generate(SynthConfig(p=p, n=n, network=network), rng=rng)
+            data, _ = generate(p, n, network, rng)
             order, diagnostics = estimate_order(data)
             ref_order, ref_diagnostics = loop_estimate_order(data)
             assert order.order == ref_order.order, (p, n, network)
@@ -135,7 +134,7 @@ class TestMatchesPairLoop:
 
     def test_large_n(self):
         # The grid above stops at n = 1000; sums over 20000 terms round differently.
-        data, _ = generate(SynthConfig(p=8, n=20000, network="dense", seed=5))
+        data, _ = generate(8, 20000, "dense", np.random.default_rng(5))
         order, diagnostics = estimate_order(data)
         ref_order, ref_diagnostics = loop_estimate_order(data)
         assert order.order == ref_order.order
@@ -228,6 +227,21 @@ class TestEstimateStrengths:
         b = estimate_strengths(center(x * scale), order)
         assert b.entries == pytest.approx(estimate_strengths(center(x), order).entries, rel=1e-12)
 
+    def test_overflow_of_the_unread_gram_entry_is_ignored(self):
+        # Only the last variable's own sum of squares overflows, and no regression
+        # reads it. Scaling that row by a power of two is exact, so the estimate
+        # must match the scaled-down data's, that row scaled back up.
+        x1, x2, x3 = np.random.default_rng(0).standard_normal((3, 100))
+        big = center(np.vstack([x1, x2, (x3 + x1) * 1e154]))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.values[2] @ big.values[2])
+        scale = np.array([[1.0], [1.0], [2.0**-600]])
+        small = Dataset(big.values * scale, big.labels)
+        order = CausalOrder((1, 2, 3))
+        b = estimate_strengths(big, order).entries
+        assert np.array_equal(b, estimate_strengths(small, order).entries / scale)
+        assert np.isfinite(b).all() and b[2, 0] != 0.0
+
     @pytest.mark.parametrize("factor, singular", [(1.001, False), (0.999, True)])
     def test_rcond_boundary(self, factor, singular):
         # Orthogonal centered predictors whose Gram matrix diag(4, 4 s^2)
@@ -235,7 +249,7 @@ class TestEstimateStrengths:
         u = np.array([1.0, 1.0, -1.0, -1.0])
         v = np.array([1.0, -1.0, 1.0, -1.0]) * np.sqrt(factor * RCOND_THRESHOLD)
         y = u - 2.0 * v + np.array([1.0, -1.0, -1.0, 1.0])
-        ds = Dataset(np.vstack([u, v, y]), ("u", "v", "y"), centered=True)
+        ds = Dataset(np.vstack([u, v, y]), ("u", "v", "y"))
         if singular:
             with pytest.raises(SingularDesign):
                 estimate_strengths(ds, CausalOrder((1, 2, 3)))
@@ -292,14 +306,11 @@ class TestFit:
 
 
 def test_uncentered_dataset_rejected():
-    from lingamkit import Dataset
     from lingamkit.errors import DimensionError
 
-    raw = Dataset(np.array([[1.0, 2.0, 4.0], [0.0, 1.0, 5.0]]), ("x1", "x2"), centered=False)
-    with pytest.raises(DimensionError):
-        estimate_order(raw)
-    with pytest.raises(DimensionError):
-        estimate_strengths(raw, CausalOrder((1, 2)))
+    # Estimators take every Dataset as centered: uncentered values fail at construction.
+    with pytest.raises(DimensionError, match=r"run center\(\) first"):
+        Dataset(np.array([[1.0, 2.0, 4.0], [0.0, 1.0, 5.0]]), ("x1", "x2"))
 
 
 def test_fitted_model_validates_diagnostics_shape():
@@ -317,7 +328,7 @@ def test_residual_recursion_preserves_relative_order():
     for trial in range(trials):
         rng = np.random.default_rng(5000 + trial)
         p = int(rng.integers(3, 6))
-        data, truth = generate(SynthConfig(p=p, n=20000, network="dense"), rng=rng)
+        data, truth = generate(p, 20000, "dense", rng)
         full_order, _ = estimate_order(data)
 
         root = truth.observed_root()

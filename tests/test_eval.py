@@ -8,7 +8,6 @@ from lingamkit import (
     BenchmarkGrid,
     CausalOrder,
     ConnectionMatrix,
-    SynthConfig,
     frobenius_distance,
     generate,
     order_errors,
@@ -39,7 +38,7 @@ class TestOrderErrors:
         rng = np.random.default_rng(0)
         for _ in range(100):
             p = int(rng.integers(2, 7))
-            data, truth = generate(SynthConfig(p=p, n=50), rng=rng)
+            data, truth = generate(p, 50, "random-choice", rng)
             k = CausalOrder(tuple(int(v) + 1 for v in rng.permutation(p)))
             count = order_errors(truth.observed_matrix(), k)
             assert 0 <= count <= p * (p - 1) // 2
@@ -108,6 +107,18 @@ class TestBenchmarkGrid:
             BenchmarkGrid(trials=0)
         with pytest.raises(ValueError):
             BenchmarkGrid(estimators=("direct", "pc"))
+
+    @pytest.mark.parametrize(
+        "p_values, n_values, message",
+        [
+            ((4,), (1000, 1), "n must be at least 2"),
+            ((10, 0), (50,), "p must be at least 1"),
+            ((-1,), (0,), "p must be at least 1"),
+        ],
+    )
+    def test_p_and_n_checked_by_the_rule_of_generate(self, p_values, n_values, message):
+        with pytest.raises(ValueError, match=message):
+            BenchmarkGrid(p_values=p_values, n_values=n_values, trials=1)
 
 
 class TestRunBenchmark:
@@ -199,6 +210,38 @@ class TestRunBenchmark:
         doc = run_benchmark(grid).to_dict(include_timings=True)
         trial = doc["cells"][0]["estimators"]["direct"]["trials"][0]
         assert trial["seconds"] > 0
+
+
+class TestSummaryTable:
+    def test_one_row_per_cell_and_estimator(self):
+        # p = 5 > n = 4: the direct estimator orders but fits no strengths, and
+        # the baseline fails outright, so every trial of that cell failed.
+        grid = BenchmarkGrid(p_values=(5,), n_values=(4, 200), trials=3, master_seed=4)
+        report = run_benchmark(grid)
+        header, *rows = report.summary_table().splitlines()
+        assert header.split() == [
+            "p", "n", "estimator", "med.order.err", "med.frobenius", "failures"
+        ]
+        fields = [row.split() for row in rows]
+        assert [f[:3] for f in fields] == [
+            ["5", "4", "direct"],
+            ["5", "4", "ica_baseline"],
+            ["5", "200", "direct"],
+            ["5", "200", "ica_baseline"],
+        ]
+        cells = {(int(f[1]), f[2]): f[3:] for f in fields}
+        order_errors_p_above_n = [r.order_errors for r in report.cells[0].trials["direct"]]
+        assert cells[4, "direct"] == [
+            f"{np.median(order_errors_p_above_n):.2f}", "nan", str(grid.trials)
+        ]
+        assert cells[4, "ica_baseline"] == ["nan", "nan", str(grid.trials)]
+        for name in grid.estimators:
+            s = report.cells[1].summaries[name]
+            assert cells[200, name] == [
+                f"{s['order_errors']['median']:.2f}",
+                f"{s['frobenius']['median']:.4f}",
+                str(report.cells[1].failures[name]),
+            ]
 
 
 def report_bytes(report, tmp_path):

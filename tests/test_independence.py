@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lingamkit import (
-    SynthConfig,
     center,
     find_most_independent,
     generate,
@@ -133,8 +132,7 @@ def test_exogenous_variable_attains_minimum_on_random_models():
     for trial in range(trials):
         rng = np.random.default_rng(1000 + trial)
         p = int(rng.integers(2, 6))
-        cfg = SynthConfig(p=p, n=20000, network="dense", seed=0)
-        data, truth = generate(cfg, rng=rng)
+        data, truth = generate(p, 20000, "dense", rng)
         winner = find_most_independent(range(1, p + 1), data)
         hits += winner == truth.observed_root()
     assert hits >= 95, f"exogenous variable won only {hits}/100 trials"
