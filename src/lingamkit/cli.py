@@ -11,7 +11,6 @@ import argparse
 import csv
 import itertools
 import json
-import re
 import sys
 from dataclasses import dataclass
 
@@ -63,14 +62,15 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     the first bad cell's line and column or parses the rare valid cells
     ``loadtxt`` rejects (quoted numbers, ``1_000``, non-ASCII digits).
     """
-    head_line, head = 0, None
+    head_line, head, table = 0, None, None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if header:
-                reader = csv.reader(fh)
-                head = next(row for row in reader if row)
-                head_line = reader.line_num
-            table = _loadtxt_table(fh)
+        if not _has_separator(path):
+            with open(path, newline="", encoding="utf-8") as fh:
+                if header:
+                    reader = csv.reader(fh)
+                    head = next(row for row in reader if row)
+                    head_line = reader.line_num
+                table = _loadtxt_table(fh)
     except (ValueError, csv.Error, StopIteration):
         table = None
     if table is None:
@@ -83,25 +83,20 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     return center(values, labels=labels)
 
 
-# np.loadtxt strips these four ASCII separators around a number, float() does not.
-_SEPARATORS = re.compile("[\x1c-\x1f]")
-
-
-def _data_lines(fh):
-    for line in fh:
-        if _SEPARATORS.search(line):
-            raise ValueError("information separator in the data")
-        if line.strip("\r\n"):
-            yield line
+def _has_separator(path) -> bool:
+    """Whether the file holds one of the four ASCII information separators:
+    np.loadtxt strips those around a number, float() does not."""
+    with open(path, "rb") as fh:
+        chunks = iter(lambda: fh.read(2**20), b"")
+        return any(s in chunk for chunk in chunks for s in b"\x1c\x1d\x1e\x1f")
 
 
 def _loadtxt_table(fh) -> np.ndarray | None:
     """The rest of ``fh`` as a finite table, or None when it has no data or a non-finite cell."""
-    lines = _data_lines(fh)
-    first = next(lines, None)  # np.loadtxt warns on input with no data
-    if first is None:
+    first = next((line for line in fh if line.strip("\r\n")), None)
+    if first is None:  # np.loadtxt warns on input with no data
         return None
-    table = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+    table = np.loadtxt(itertools.chain((first,), fh), delimiter=",", comments=None, ndmin=2)
     return table if np.isfinite(table).all() else None
 
 

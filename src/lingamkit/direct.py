@@ -32,7 +32,6 @@ from .core import (  # noqa: F401
     ConnectionMatrix,
     Dataset,
     _as_order,
-    _gram,
     _off_center,
     center,
     permute_matrix,
@@ -143,9 +142,10 @@ def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
     """Solve the normal equations for ``y`` on a ``k x n`` predictor matrix.
 
     Inputs are assumed centered (no intercept term). Raises
-    ``TooFewObservations`` when ``k >= n`` and ``SingularDesign`` when
-    the Gram matrix's reciprocal condition number falls below
-    ``RCOND_THRESHOLD``.
+    ``TooFewObservations`` when ``k >= n``, ``NonFiniteValue`` when a Gram
+    entry the regression reads overflows (``y``'s own sum of squares is not
+    read) and ``SingularDesign`` when the Gram matrix's reciprocal condition
+    number falls below ``RCOND_THRESHOLD``.
     """
     y = np.asarray(y, dtype=float)
     preds = np.atleast_2d(np.asarray(predictors, dtype=float))
@@ -154,8 +154,10 @@ def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
         raise DimensionError(f"y has length {y.size}, predictors have {n} columns")
     if k >= n:
         raise TooFewObservations(f"{k} predictors with only {n} observations")
-    stacked = np.vstack([preds, y])
-    b, ok = _ordered_least_squares(_gram(stacked)[None])
+    gram, finite = _design_gram(np.vstack([preds, y]))
+    if not finite:
+        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
+    b, ok = _ordered_least_squares(gram[None])
     if not ok[0]:
         raise SingularDesign("predictor Gram matrix is numerically singular")
     return b[0, k, :k]

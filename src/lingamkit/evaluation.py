@@ -22,11 +22,13 @@ reports are byte-identical whether trials run in-process or on N forked workers.
 from __future__ import annotations
 
 import csv
+import os
+import threading
 # ``ThreadPoolExecutor`` stays importable here: perfbench/spans.py swaps it by name.
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from multiprocessing import get_context
-from time import perf_counter
+from time import perf_counter, sleep
 
 import numpy as np
 
@@ -258,6 +260,18 @@ def _run_trial(grid: BenchmarkGrid, cell_index: int, p: int, n: int, trial: int)
     return out
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once ``parent`` is gone. A worker whose
+    parent was killed would otherwise wait on the task queue forever."""
+
+    def watch():
+        while os.getppid() == parent:
+            sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
     """Run the sweep; ``threads`` > 1 runs the (cell, trial) tasks on that many
     worker processes forked from the caller (POSIX ``fork``). Results are taken
@@ -269,7 +283,9 @@ def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
     if threads == 1:
         trial_maps = list(map(_run_trial, *zip(*tasks)))
     else:  # fork: workers start before the pool's threads, with numpy already imported
-        with ProcessPoolExecutor(min(threads, len(tasks)), get_context("fork")) as pool:
+        with ProcessPoolExecutor(
+            min(threads, len(tasks)), get_context("fork"), _exit_with_parent, (os.getpid(),)
+        ) as pool:
             trial_maps = list(pool.map(_run_trial, *zip(*tasks)))
     cells = []
     for c, (p, n) in enumerate(cell_specs):

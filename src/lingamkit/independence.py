@@ -15,9 +15,10 @@ the limit consistent with independence. One array kernel, ``_scores``,
 scores all candidates of a block at once; the public functions are views of it.
 The second term needs no residual rows: its covariance and variance follow in
 closed form, for all pairs at once, from ``x @ g(x).T`` and the Gram matrix; a
-variance that cancels to zero or below counts as zero. ``g(r_i)`` is formed per
-candidate for every row of the block in one reused buffer: the candidate's own
-residual ``x_j - 1.0 * x_j`` is exactly 0 and so adds exactly 0.
+variance that cancels to zero or below counts as zero. ``g(r_i)`` is formed for
+every row of the block, for a chunk of candidates (``CHUNK_VALUES`` values, or one
+candidate) at a time, in one reused buffer: the candidate's own residual
+``x_j - 1.0 * x_j`` is exactly 0 and so adds exactly 0.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import numpy as np
 # ``simple_residual`` stays importable here: perfbench/spans.py wraps it by name.
 from .core import Dataset, _gram, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
+
+# Values in one chunk of residual blocks (512 KB): bounds the kernel's extra memory.
+CHUNK_VALUES = 2**16
 
 
 def _abs_corr(cov: np.ndarray, var_a: np.ndarray, var_b) -> np.ndarray:
@@ -45,7 +49,11 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram = _gram(xc)
     var = np.diagonal(gram)
     coef = gram / var
-    gx = np.tanh(x)
+    # Residual blocks of c candidates at once, each laid out like x so that its sums
+    # run in the same order as for one candidate; the first slot holds g(x) until then.
+    c = min(k, max(1, CHUNK_VALUES // (k * n)))
+    buf = np.empty((c, k, n)) if x.flags.c_contiguous else np.empty((c, n, k)).transpose(0, 2, 1)
+    gx = np.tanh(x, out=buf[0])
     gx -= gx.mean(axis=1, keepdims=True)
     cross = xc @ gx.T  # cross[i, j] = sum of x_i * g(x_j), centered
     # |corr(r_ij, g(x_j))| for every pair at once: r_ij = x_i - coef_ij * x_j.
@@ -55,16 +63,19 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # |corr(g(r_ij), x_j)| per candidate j, from sums over g(r_j), [x_j, 1] and g(r_j)^2.
     means = xc.mean(axis=1)
-    xj_one = np.ones((n, 2))
-    gr = gx  # no longer needed: reused as the residual buffer
-    for j in range(k):
-        np.multiply(coef[:, j, None], x[j], out=gr)
+    xj_one = np.ones((c, n, 2))
+    for start in range(0, k, c):
+        js = slice(start, start + c)
+        gr, xj = buf[: k - start], xj_one[: k - start]
+        np.multiply(coef[:, js].T[:, :, None], x[js, None], out=gr)
         np.subtract(x, gr, out=gr)
         np.tanh(gr, out=gr)
-        xj_one[:, 0] = xc[j]
-        sum_gx, sum_g = (gr @ xj_one).T
-        sum_gg = np.einsum("ij,ij->i", gr, gr)
-        scores[j] += _abs_corr(sum_gx - sum_g * means[j], sum_gg - sum_g * sum_g / n, var[j]).sum()
+        xj[:, :, 0] = xc[js]
+        sum_gx, sum_g = (gr @ xj).transpose(2, 0, 1)
+        sum_gg = np.einsum("jit,jit->ji", gr, gr)
+        scores[js] += _abs_corr(
+            sum_gx - sum_g * means[js, None], sum_gg - sum_g * sum_g / n, var[js, None]
+        ).sum(axis=1)
     return scores, coef
 
 

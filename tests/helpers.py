@@ -11,9 +11,9 @@ import math
 import numpy as np
 
 from lingamkit import CausalOrder, ConnectionMatrix, center, simple_residual
-from lingamkit.core import find_strict_lower_permutation
+from lingamkit.core import _gram, find_strict_lower_permutation
 from lingamkit.errors import NonFiniteValue, ZeroVarianceRow
-from lingamkit.independence import select_minimum
+from lingamkit.independence import _abs_corr, select_minimum
 
 # The worked three-variable example model:
 #   x1 = e1,  x2 = 1.5 x1 + e2,  x3 = 0.8 x1 - 1.5 x2 + e3
@@ -156,6 +156,35 @@ def loop_t_statistic(j, active, values):
         total += _abs_corr_or_zero(np.tanh(resid), xj)
         total += _abs_corr_or_zero(resid, gxj)
     return total
+
+
+def loop_scores(x):
+    """``independence._scores`` with one candidate per pass: each candidate's
+    residual block is built in one reused ``k x n`` buffer. Same arithmetic,
+    so results must match the kernel bit for bit."""
+    k, n = x.shape
+    xc = x - x.mean(axis=1, keepdims=True)
+    gram = _gram(xc)
+    var = np.diagonal(gram)
+    coef = gram / var
+    gx = np.tanh(x)
+    gx -= gx.mean(axis=1, keepdims=True)
+    cross = xc @ gx.T
+    scores = _abs_corr(
+        cross - coef * np.diagonal(cross), var[:, None] - coef * gram, np.einsum("ij,ij->i", gx, gx)
+    ).sum(axis=0)
+    means = xc.mean(axis=1)
+    xj_one = np.ones((n, 2))
+    gr = gx
+    for j in range(k):
+        np.multiply(coef[:, j, None], x[j], out=gr)
+        np.subtract(x, gr, out=gr)
+        np.tanh(gr, out=gr)
+        xj_one[:, 0] = xc[j]
+        sum_gx, sum_g = (gr @ xj_one).T
+        sum_gg = np.einsum("ij,ij->i", gr, gr)
+        scores[j] += _abs_corr(sum_gx - sum_g * means[j], sum_gg - sum_g * sum_g / n, var[j]).sum()
+    return scores, coef
 
 
 def loop_estimate_order(data):

@@ -81,6 +81,7 @@ PARSE_ERRORS = {
     "empty cell": ("a,b\n1,2\n3,\n", {}, (NonNumericCell, 3, 2)),
     "trailing comma": ("a,b\n1,2,\n3,4,\n", {}, (NonNumericCell, 2, 3)),
     "separator char": ("a,b\n1,2\n\x1c3,4\n", {}, (NonNumericCell, 3, 1)),
+    "separator in last line": ("a,b\n1,2\n3,4\x1f\n", {}, (NonNumericCell, 3, 2)),
     "ragged row": ("a,b\n1,2\n3\n", {}, (RaggedRows, 3, 1)),
     "whitespace line": ("a,b\n1,2\n  \n3,4\n", {}, (RaggedRows, 3, 1)),
     "header only": ("a,b\n", {}, (ParseError, 1, 1)),
@@ -94,6 +95,8 @@ PARSE_VALUES = {
     "quoted number": ('a,b\n"1.5",4\n2,5\n', {}, ("a", "b"), [[1.5, 2], [4, 5]]),
     "underscores": ("a,b\n1_000,4\n2,5\n", {}, ("a", "b"), [[1000, 2], [4, 5]]),
     "blank lines": ("\na,b\n\n1,4\n\r\n2,5\n\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
+    "separator in header": ("a\x1c,b\n1,4\n2,5\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
+    "lone cr line": ("a,b\n1,4\n\r2,5\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "cr endings": ("a,b\r1,4\r2,5\r", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "padded cells": (" a , b\n 1 ,\t4\n2,5 \n", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "no header": ("1,4\n2,5\n", {"header": False}, None, [[1, 2], [4, 5]]),

@@ -94,7 +94,7 @@ class TestEstimateOrder:
         [
             fit,
             lambda data: estimate_strengths(data, CausalOrder((1, 2, 3))),
-            lambda data: multi_least_squares(data.values[0], data.values[1:]),
+            lambda data: multi_least_squares(data.values[1], data.values[[0, 2]]),
             lambda data: bootstrap_cis(data, CausalOrder((1, 2, 3)), np.random.default_rng(0)),
         ],
         ids=["fit", "estimate_strengths", "multi_least_squares", "bootstrap_cis"],
@@ -241,6 +241,20 @@ class TestEstimateStrengths:
         b = estimate_strengths(big, order).entries
         assert np.array_equal(b, estimate_strengths(small, order).entries / scale)
         assert np.isfinite(b).all() and b[2, 0] != 0.0
+
+    def test_multi_least_squares_ignores_an_overflow_confined_to_y(self):
+        # The float-limit data above with x1 as y: only y's own sum of squares
+        # overflows, and the regression never reads it.
+        x = np.random.default_rng(0).standard_normal((3, 50))
+        x[0, :2] = 1e308, -1e308
+        values = center(x).values
+        y, preds = values[0], values[1:]
+        assert np.isfinite(preds @ np.vstack([preds, y]).T).all()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(y @ y)
+        coefs = multi_least_squares(y, preds)
+        assert np.array_equal(coefs, multi_least_squares(y * 2.0**-600, preds) * 2.0**600)
+        assert np.isfinite(coefs).all() and (coefs != 0.0).all()
 
     @pytest.mark.parametrize("factor, singular", [(1.001, False), (0.999, True)])
     def test_rcond_boundary(self, factor, singular):

@@ -1,5 +1,11 @@
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +256,15 @@ def report_bytes(report, tmp_path):
     return json.dumps(report.to_dict()).encode(), (tmp_path / "report.csv").read_bytes()
 
 
+def running(pid):
+    """Whether ``pid`` is a live process; a zombie left for init to reap is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestWorkerProcesses:
     @pytest.mark.parametrize("threads", [0, -2])
     def test_fewer_than_one_worker_rejected(self, threads):
@@ -274,6 +289,41 @@ class TestWorkerProcesses:
         grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=3, estimators=("direct",))
         with pytest.raises(FloatingPointError, match="broken estimator"):
             run_benchmark(grid, threads=threads)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        # A sweep whose trials sleep: each of its two workers writes its pid on
+        # its first task. SIGTERM to the sweep must not leave them running.
+        script = textwrap.dedent(
+            """
+            import os, time
+            from lingamkit import BenchmarkGrid, evaluation
+
+            def slow(*args):
+                os.write(1, b"%d\\n" % os.getpid())  # one write: lines never interleave
+                time.sleep(60)
+
+            evaluation._run_trial = slow
+            evaluation.run_benchmark(BenchmarkGrid(p_values=(3,), n_values=(40,), trials=4), 2)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env, text=True)
+        workers = []
+        try:
+            workers = [int(proc.stdout.readline()) for _ in range(2)]
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(running, workers))
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_p_above_n_error_codes_independent_of_workers(self):
         grid = BenchmarkGrid(p_values=(20,), n_values=(8, 15), trials=3, master_seed=6)

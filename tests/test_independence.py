@@ -9,9 +9,9 @@ from lingamkit import (
     t_statistic,
 )
 from lingamkit.errors import DimensionError, NonFiniteValue, NotInActiveSet
-from lingamkit.independence import select_minimum
+from lingamkit.independence import _scores, select_minimum
 
-from helpers import chain_dataset, loop_t_statistic, scratch_t_statistic
+from helpers import chain_dataset, loop_scores, loop_t_statistic, scratch_t_statistic
 
 
 def test_exact_proportionality_scores_zero():
@@ -66,6 +66,20 @@ def test_profile_of_a_subset_matches_pair_loop():
         for j, score in profile.items():
             assert score == pytest.approx(loop_t_statistic(j, subs, ds.values), rel=1e-12)
             assert t_statistic(j, subs, ds) == score
+
+
+@pytest.mark.parametrize("n", [3, 8, 50, 1000, 3001])
+@pytest.mark.parametrize("k", [2, 3, 7, 13, 20, 31, 64])
+def test_chunked_kernel_matches_candidate_loop_bit_for_bit(k, n):
+    # Covers one chunk holding every candidate, a partial last chunk and
+    # one candidate per chunk, on rows as generated and as a CSV loads them
+    # (the transpose of a C-ordered table).
+    values = center(np.random.default_rng(k * n).standard_normal((k, n)) ** 3).values
+    for x in (values, np.asfortranarray(values)):
+        scores, coef = _scores(x)
+        ref_scores, ref_coef = loop_scores(x)
+        assert np.array_equal(scores, ref_scores)
+        assert np.array_equal(coef, ref_coef)
 
 
 def test_chain_model_root_minimizes_score():
