@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``center`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import Dataset, _as_order, center  # noqa: F401
-from .direct import _design_gram, _ordered_least_squares, estimate_strengths
+from .core import Dataset, _as_order, _constant_rows, center  # noqa: F401
+from .direct import _ordered_least_squares, estimate_strengths
 from .errors import TooManySingularResamples
 
 CHUNK_VALUES = 2**17
@@ -79,16 +79,18 @@ def bootstrap_cis(
 ) -> BootstrapReport:
     """Percentile intervals for all coefficients under a fixed ordering, resampled with ``rng``.
 
-    ``max_redraws`` bounds the total number of degenerate resamples
-    tolerated before ``TooManySingularResamples`` is raised; it
-    defaults to ``resamples`` (i.e. at most a doubling of work).
+    ``max_redraws`` bounds the total number of degenerate resamples tolerated before
+    ``TooManySingularResamples`` is raised; it defaults to ``resamples`` (at most a
+    doubling of work), and a negative cap raises ``ValueError``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     if resamples < 100:
         raise ValueError("use at least 100 resamples")
-    order = _as_order(order, data.p)
     cap = resamples if max_redraws is None else max_redraws
+    if cap < 0:
+        raise ValueError("max_redraws must not be negative")
+    order = _as_order(order, data.p)
 
     # Raises for p > n, so every resample below has fewer predictors than n.
     point = estimate_strengths(data, order)
@@ -104,10 +106,8 @@ def bootstrap_cis(
         picks = [rng.integers(0, data.n, size=data.n) for _ in range(min(chunk, resamples - done))]
         x = np.take(values, picks, axis=1).transpose(1, 0, 2)
         x = x - x.mean(axis=2, keepdims=True)
-        gram, finite = _design_gram(x)
-        gram[~finite] = 0.0
-        b, ok = _ordered_least_squares(gram)
-        ok &= finite & ~np.any(x.max(axis=2) == x.min(axis=2), axis=1)
+        b, _, ok = _ordered_least_squares(x)
+        ok &= ~_constant_rows(x).any(axis=1)
         redraws += int(np.count_nonzero(~ok))
         if redraws > cap:
             raise TooManySingularResamples(

@@ -27,7 +27,7 @@ from .errors import (
     RaggedRows,
     SchemaVersionError,
 )
-from .evaluation import BenchmarkGrid, run_benchmark
+from .evaluation import ESTIMATORS, BenchmarkGrid, run_benchmark
 from .ica import ica_lingam_fit
 from .synth import generate
 
@@ -214,8 +214,7 @@ def _cmd_fit(args) -> int:
         model = direct.fit(data)
         order, strengths = model.order, model.strengths
         diagnostics = tuple(tuple(sorted(step.items())) for step in model.diagnostics)
-        pruned = None
-        converged = None
+        pruned = converged = None
         printable = strengths
     else:
         baseline = ica_lingam_fit(data, np.random.default_rng(args.seed))
@@ -273,7 +272,7 @@ def _cmd_benchmark(args) -> int:
         p_values=tuple(grid_doc["p_values"]),
         n_values=tuple(grid_doc["n_values"]),
         trials=int(grid_doc["trials"]),
-        estimators=tuple(grid_doc.get("estimators", ("direct", "ica_baseline"))),
+        estimators=tuple(grid_doc.get("estimators", ESTIMATORS)),
         master_seed=int(grid_doc.get("master_seed", 0)),
     )
     report = run_benchmark(grid, threads=args.threads)
@@ -395,7 +394,7 @@ def main(argv=None) -> int:
     except LingamError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -47,24 +47,42 @@ def _off_center(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, np.abs(means) > CENTERED_TOL * np.abs(values).max(axis=1)
 
 
-def _require_finite(values: np.ndarray) -> None:
+def _require_matrix(values: np.ndarray) -> None:
+    """Raise ``DimensionError`` unless ``values`` is 2-D with a row and two columns, and
+    ``NonFiniteValue`` for a NaN or inf entry."""
+    if values.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got {values.ndim}-D")
+    if len(values) < 1:
+        raise DimensionError("need at least one variable")
+    if values.shape[1] < 2:
+        raise DimensionError(f"need at least two observations, got {values.shape[1]}")
     if not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise NonFiniteValue(f"row {i + 1}, observation {j + 1} is {values[i, j]}")
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """``x @ x.T``; raises ``NonFiniteValue`` when a sum of products overflows."""
+    """``x @ x.T`` over the last two axes; an entry that overflows is inf or NaN, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = x @ x.T
-    if not np.isfinite(gram).all():
-        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
-    return gram
+        return x @ np.swapaxes(x, -1, -2)
+
+
+def _constant_rows(x: np.ndarray) -> np.ndarray:
+    """Mask of the rows (along the last axis) whose entries are all equal; ptp can overflow."""
+    return x.max(axis=-1) == x.min(axis=-1)
+
+
+def _subscripts(subs, p: int) -> list[int]:
+    """Distinct 1-based subscripts, ascending; one outside ``1..p`` raises ``DimensionError``."""
+    subs = sorted(set(int(s) for s in subs))
+    if subs and not 1 <= subs[0] <= subs[-1] <= p:
+        raise DimensionError(f"subscript {subs[0] if subs[0] < 1 else subs[-1]} is outside 1..{p}")
+    return subs
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A centered ``p x n`` observation matrix, one variable per row.
+    """A centered ``p x n`` observation matrix, one variable per row, held C-ordered.
 
     Rejects NaN or infinite entries, constant rows, and rows whose mean is
     not zero to within ``CENTERED_TOL`` relative to the row's max magnitude.
@@ -74,19 +92,12 @@ class Dataset:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D matrix, got {arr.ndim}-D")
-        p, n = arr.shape
-        if p < 1:
-            raise DimensionError("need at least one variable")
-        if n < 2:
-            raise DimensionError(f"need at least two observations, got {n}")
+        arr = np.array(self.values, dtype=float, order="C")
+        _require_matrix(arr)
         labels = tuple(self.labels)
-        if len(labels) != p:
-            raise DimensionError(f"{len(labels)} labels for {p} rows")
-        _require_finite(arr)
-        constant = arr.max(axis=1) == arr.min(axis=1)  # ptp can overflow
+        if len(labels) != len(arr):
+            raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
+        constant = _constant_rows(arr)
         means, off = _off_center(arr)
         bad = constant | off
         if bad.any():
@@ -108,7 +119,7 @@ class Dataset:
 
     def row(self, subscript: int) -> np.ndarray:
         """Row for the 1-based variable subscript (read-only view)."""
-        return self.values[subscript - 1]
+        return self.values[_subscripts((subscript,), self.p)[0] - 1]
 
 
 def default_labels(p: int) -> tuple[str, ...]:
@@ -122,19 +133,14 @@ def center(raw, labels=None) -> Dataset:
     ``center`` is idempotent at the bit level. NaN or inf raises ``NonFiniteValue``.
     """
     values = np.array(raw, dtype=float)
-    if values.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got {values.ndim}-D")
-    p, n = values.shape
-    if n < 2:
-        raise DimensionError(f"need at least two observations, got {n}")
-    _require_finite(values)
+    _require_matrix(values)
     # A second pass removes the rounding residue that a mean large
     # relative to the row's spread leaves behind.
     for _ in range(2):
         means, off = _off_center(values)
         values[off] -= means[off, None]
     if labels is None:
-        labels = default_labels(p)
+        labels = default_labels(len(values))
     return Dataset(values, tuple(labels))
 
 
@@ -168,10 +174,7 @@ class CausalOrder:
         return np.asarray(self.order, dtype=int) - 1
 
     def inverse(self) -> "CausalOrder":
-        inv = [0] * self.p
-        for pos, sub in enumerate(self.order, start=1):
-            inv[sub - 1] = pos
-        return CausalOrder(tuple(inv))
+        return CausalOrder(tuple(np.argsort(self.indices) + 1))
 
     def __iter__(self):
         return iter(self.order)

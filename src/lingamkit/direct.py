@@ -32,6 +32,8 @@ from .core import (  # noqa: F401
     ConnectionMatrix,
     Dataset,
     _as_order,
+    _constant_rows,
+    _gram,
     _off_center,
     center,
     permute_matrix,
@@ -44,7 +46,7 @@ from .errors import (
     TooFewObservations,
     ZeroVarianceRow,
 )
-from .independence import _scores, select_minimum, t_profile  # noqa: F401
+from .independence import _argmin, _scores, t_profile  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -88,38 +90,38 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
     while len(subs) > 1:
         means, off = _off_center(x)
         x[off] -= means[off, None]
-        constant = x.max(axis=1) == x.min(axis=1)  # ptp can overflow
+        constant = _constant_rows(x)
         if constant.any():
             sub = subs[int(np.argmax(constant))]
             why = "became constant after residualization (exact collinearity)"
             raise ZeroVarianceRow(sub, f"variable {data.labels[sub - 1]} {why}")
         scores, coef = _scores(x)
-        profile = dict(zip(subs, scores.tolist()))
-        pick = select_minimum(profile)
-        diagnostics.append(profile)
-        order.append(pick)
-        root = subs.index(pick)
+        root = _argmin(scores)
+        diagnostics.append(dict(zip(subs, scores.tolist())))
+        order.append(subs.pop(root))
         x = np.delete(x - coef[:, root, None] * x[root], root, axis=0)
-        subs.pop(root)
 
     order.extend(subs)
     return CausalOrder(tuple(order)), tuple(diagnostics)
 
 
-def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Regress each row on all earlier rows for a ``(c, p, p)`` stack of Gram matrices
-    of centered data in causal order. Returns ``(b, ok)``: ``b[m, pos, :pos]`` holds
-    row ``pos``'s coefficients; ``ok[m]`` is false, and ``b[m]`` zero, when a design is
-    singular. By Cauchy interlacing one SVD of the largest design tests all smaller
-    ones; solves without square roots keep exactly representable results exact.
-    The last diagonal entry, the last row's own sum of squares, is never read and may
-    be inf. Each matrix is first scaled by a power of two to a largest read entry below
-    1: that is exact, changes no coefficient and keeps the SVD of data near the float
-    limit finite.
+def _ordered_least_squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regress each row on all earlier rows for a ``(c, k, n)`` stack of centered data
+    in causal order. Returns ``(b, finite, ok)``: ``b[m, pos, :pos]`` holds row ``pos``'s
+    coefficients; ``finite[m]`` is false when a Gram entry that a regression reads
+    overflows (that matrix is zeroed), ``ok[m]`` when that or a singular design leaves
+    ``b[m]`` zero. By Cauchy interlacing one SVD of the largest design tests all smaller
+    ones; solves without square roots keep exactly representable results exact. The
+    last row's own sum of squares is never read and may be inf. Each matrix is first
+    scaled by a power of two to a largest read entry below 1: that is exact, changes no
+    coefficient and keeps the SVD of data near the float limit finite.
     """
+    gram = _gram(x)
+    finite = np.isfinite(gram[:, :, :-1]).all(axis=(1, 2))
+    gram[~finite] = 0.0
     b = np.zeros(gram.shape)
     if gram.shape[1] == 1:
-        return b, np.ones(len(gram), dtype=bool)
+        return b, finite, np.ones(len(gram), dtype=bool)
     gram = np.ldexp(gram, -np.frexp(np.abs(gram[:, :, :-1]).max(axis=(1, 2)))[1][:, None, None])
     singvals = np.linalg.svd(gram[:, :-1, :-1], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -127,15 +129,17 @@ def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     good = gram[ok]
     for pos in range(1, gram.shape[1]):
         b[ok, pos, :pos] = np.linalg.solve(good[:, :pos, :pos], good[:, :pos, pos, None])[..., 0]
-    return b, ok
+    return b, finite, ok
 
 
-def _design_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices over the last two axes of centered data in causal order, and
-    whether every entry that ``_ordered_least_squares`` reads is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = x @ np.swapaxes(x, -1, -2)
-    return gram, np.isfinite(gram[..., :-1]).all(axis=(-2, -1))
+def _regress(x: np.ndarray) -> np.ndarray:
+    """``_ordered_least_squares`` on one ``k x n`` block, raising as ``multi_least_squares``."""
+    b, finite, ok = _ordered_least_squares(x[None])
+    if not finite[0]:
+        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
+    if not ok[0]:
+        raise SingularDesign("predictor Gram matrix is numerically singular")
+    return b[0]
 
 
 def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
@@ -154,37 +158,25 @@ def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
         raise DimensionError(f"y has length {y.size}, predictors have {n} columns")
     if k >= n:
         raise TooFewObservations(f"{k} predictors with only {n} observations")
-    gram, finite = _design_gram(np.vstack([preds, y]))
-    if not finite:
-        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
-    b, ok = _ordered_least_squares(gram[None])
-    if not ok[0]:
-        raise SingularDesign("predictor Gram matrix is numerically singular")
-    return b[0, k, :k]
+    return _regress(np.vstack([preds, y]))[k, :k]
 
 
 def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     """Least-squares strengths of each variable on all earlier variables in ``order``.
 
     Entries at or above the diagonal of the order-permuted matrix are
-    exact zeros by construction. Raises ``NonFiniteValue`` when a Gram entry
-    that a regression reads overflows, ``SingularDesign`` for a singular
-    design, else ``TooFewObservations`` when a variable has at least as
-    many predecessors as there are observations (the
-    more-variables-than-observations regime, where least squares is undefined).
+    exact zeros by construction. Raises ``NonFiniteValue`` and ``SingularDesign``
+    as ``multi_least_squares`` does, else ``TooFewObservations`` when a variable has
+    at least as many predecessors as there are observations (p > n, where least
+    squares is undefined).
     """
     order = _as_order(order, data.p)
     # n or more predictors are singular by rank: test only the smaller designs.
-    gram, finite = _design_gram(data.values[order.indices[: data.n]])
-    if not finite:
-        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
-    b, ok = _ordered_least_squares(gram[None])
-    if not ok[0]:
-        raise SingularDesign("predictor Gram matrix is numerically singular")
+    b = _regress(data.values[order.indices[: data.n]])
     if data.p > data.n:
         raise TooFewObservations(f"{data.n} predictors with only {data.n} observations")
     pos = order.inverse().indices
-    return ConnectionMatrix(b[0][np.ix_(pos, pos)])
+    return ConnectionMatrix(b[np.ix_(pos, pos)])
 
 
 def fit(data: Dataset) -> FittedModel:

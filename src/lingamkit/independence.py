@@ -17,8 +17,8 @@ The second term needs no residual rows: its covariance and variance follow in
 closed form, for all pairs at once, from ``x @ g(x).T`` and the Gram matrix; a
 variance that cancels to zero or below counts as zero. ``g(r_i)`` is formed for
 every row of the block, for a chunk of candidates (``CHUNK_VALUES`` values, or one
-candidate) at a time, in one reused buffer: the candidate's own residual
-``x_j - 1.0 * x_j`` is exactly 0 and so adds exactly 0.
+candidate) at a time, in one reused C-ordered ``(c, k, n)`` buffer, as ``Dataset``
+rows are held: the candidate's own residual ``x_j - 1.0 * x_j`` is exactly 0.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 # ``simple_residual`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import Dataset, _gram, simple_residual  # noqa: F401
+from .core import Dataset, _gram, _subscripts, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
 # Values in one chunk of residual blocks (512 KB): bounds the kernel's extra memory.
@@ -47,12 +47,13 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k, n = x.shape
     xc = x - x.mean(axis=1, keepdims=True)
     gram = _gram(xc)
+    if not np.isfinite(gram).all():
+        raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
     var = np.diagonal(gram)
     coef = gram / var
-    # Residual blocks of c candidates at once, each laid out like x so that its sums
-    # run in the same order as for one candidate; the first slot holds g(x) until then.
+    # Residual blocks of c candidates at once; the first slot holds g(x) until then.
     c = min(k, max(1, CHUNK_VALUES // (k * n)))
-    buf = np.empty((c, k, n)) if x.flags.c_contiguous else np.empty((c, n, k)).transpose(0, 2, 1)
+    buf = np.empty((c, k, n))
     gx = np.tanh(x, out=buf[0])
     gx -= gx.mean(axis=1, keepdims=True)
     cross = xc @ gx.T  # cross[i, j] = sum of x_i * g(x_j), centered
@@ -82,7 +83,7 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def t_statistic(j: int, active, data: Dataset) -> float:
     """Nonlinear dependence of variable ``j`` on its single-regressor residuals:
     the entry for ``j`` of ``t_profile`` over the 1-based subscripts ``active``."""
-    subs = sorted(set(int(s) for s in active))
+    subs = _subscripts(active, data.p)
     if j not in subs:
         raise NotInActiveSet(f"variable {j} is not in the active set {subs}")
     return t_profile(subs, data)[j]
@@ -90,19 +91,24 @@ def t_statistic(j: int, active, data: Dataset) -> float:
 
 def t_profile(active, data: Dataset) -> dict[int, float]:
     """Score every active candidate; keys ascend so iteration order is fixed."""
-    subs = sorted(set(int(s) for s in active))
-    if len(subs) == 1:
+    subs = _subscripts(active, data.p)
+    if len(subs) < 2:
         raise DimensionError("active set needs at least two variables")
     scores, _ = _scores(data.values[np.array(subs, dtype=int) - 1])
     return dict(zip(subs, scores.tolist()))
 
 
-def select_minimum(profile: dict[int, float]) -> int:
-    """Lowest-scoring subscript, ties to the lowest; a NaN score raises ``NonFiniteValue``."""
-    subs = sorted(profile)
-    if any(np.isnan(profile[j]) for j in subs):
+def _argmin(scores: np.ndarray) -> int:
+    """Position of the lowest score, ties to the first; a NaN score raises ``NonFiniteValue``."""
+    if np.isnan(scores).any():
         raise NonFiniteValue("an independence score is NaN")
-    return min(subs, key=profile.__getitem__, default=None)
+    return int(np.argmin(scores))
+
+
+def select_minimum(profile: dict[int, float]) -> int:
+    """Lowest-scoring subscript, ties to the lowest: ``_argmin`` over ascending keys."""
+    subs = sorted(profile)
+    return subs[_argmin(np.array([profile[j] for j in subs]))]
 
 
 def find_most_independent(active, data: Dataset) -> int:

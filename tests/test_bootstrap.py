@@ -208,6 +208,11 @@ class TestValidationAndFailure:
         with pytest.raises(ValueError):
             bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), resamples=50)
 
+    def test_rejects_negative_redraw_cap(self):
+        ds = chain_dataset(100, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="max_redraws must not be negative"):
+            bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), resamples=100, max_redraws=-5)
+
     def test_propagates_too_few_observations(self):
         rng = np.random.default_rng(1)
         ds = center(rng.uniform(-1, 1, size=(5, 4)))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lingamkit import Dataset, center, evaluation, generate
+from lingamkit import Dataset, center, direct, evaluation, generate
 from lingamkit.cli import ModelDocument, load_csv, main, write_dataset_csv
 from lingamkit.errors import NonNumericCell, ParseError, RaggedRows
 
@@ -26,6 +26,11 @@ class TestLoadCsv:
         assert ds.p == 2 and ds.n == 3
         assert ds.labels == ("a", "b")
         assert ds.values[0].tolist() == [-1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("variables_as_rows", [False, True])
+    def test_values_are_c_ordered(self, tmp_path, variables_as_rows):
+        path = write_text(tmp_path / "d.csv", "a,b\n1,4\n2,5\n3,9\n")
+        assert load_csv(path, variables_as_rows=variables_as_rows).values.flags.c_contiguous
 
     def test_no_header_generates_labels(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,4\n2,5\n3,9\n")
@@ -232,6 +237,24 @@ class TestCommands:
         run_cli("fit", "--input", data, "--output", out1)
         run_cli("fit", "--input", data, "--output", out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_fit_direct_model_bytes_match_in_process_fit(self, tmp_path, capsys):
+        # The CSV holds the same values as the in-process dataset, bit for bit,
+        # so both fits run the same arithmetic and write the same model.
+        data, _ = generate(8, 3000, "dense", np.random.default_rng(6))
+        path, out = tmp_path / "d.csv", tmp_path / "m.json"
+        write_dataset_csv(path, data)
+        assert np.array_equal(load_csv(path).values, data.values)
+        assert run_cli("fit", "--input", path, "--output", out) == 0
+        doc = ModelDocument.from_dict(json.loads(out.read_text(encoding="utf-8")))
+        model = direct.fit(data)
+        expected = dataclasses.replace(
+            doc,
+            order=model.order.order,
+            strengths=tuple(tuple(row) for row in model.strengths.entries.tolist()),
+            diagnostics=tuple(tuple(sorted(step.items())) for step in model.diagnostics),
+        )
+        assert out.read_bytes() == (json.dumps(expected.to_dict(), indent=2) + "\n").encode("utf-8")
 
     def test_model_bytes_same_as_with_numpy_float_scores(self, tmp_path, capsys):
         data = self.write_chain_csv(tmp_path)

@@ -87,6 +87,19 @@ class TestDataset:
         ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])
         assert ds.row(2).tolist() == [-2.0, 0.0, 2.0]
 
+    @pytest.mark.parametrize("subscript", [0, -1, 3])
+    def test_row_outside_one_to_p_raises(self, subscript):
+        # 0 and -1 would otherwise wrap to the last rows, 3 leak an IndexError.
+        ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])
+        with pytest.raises(DimensionError, match=rf"subscript {subscript} is outside 1\.\.2"):
+            ds.row(subscript)
+
+    def test_rows_held_c_ordered_whatever_the_input_layout(self):
+        values = center(np.random.default_rng(0).standard_normal((3, 40))).values
+        ds = Dataset(np.asfortranarray(values), ("a", "b", "c"))
+        assert ds.values.flags.c_contiguous
+        assert np.array_equal(ds.values, values)
+
 
 class TestSimpleResidual:
     def test_self_regression(self):

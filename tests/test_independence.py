@@ -9,7 +9,7 @@ from lingamkit import (
     t_statistic,
 )
 from lingamkit.errors import DimensionError, NonFiniteValue, NotInActiveSet
-from lingamkit.independence import _scores, select_minimum
+from lingamkit.independence import _argmin, _scores, select_minimum
 
 from helpers import chain_dataset, loop_scores, loop_t_statistic, scratch_t_statistic
 
@@ -72,14 +72,12 @@ def test_profile_of_a_subset_matches_pair_loop():
 @pytest.mark.parametrize("k", [2, 3, 7, 13, 20, 31, 64])
 def test_chunked_kernel_matches_candidate_loop_bit_for_bit(k, n):
     # Covers one chunk holding every candidate, a partial last chunk and
-    # one candidate per chunk, on rows as generated and as a CSV loads them
-    # (the transpose of a C-ordered table).
-    values = center(np.random.default_rng(k * n).standard_normal((k, n)) ** 3).values
-    for x in (values, np.asfortranarray(values)):
-        scores, coef = _scores(x)
-        ref_scores, ref_coef = loop_scores(x)
-        assert np.array_equal(scores, ref_scores)
-        assert np.array_equal(coef, ref_coef)
+    # one candidate per chunk, on the C-ordered rows every Dataset holds.
+    x = center(np.random.default_rng(k * n).standard_normal((k, n)) ** 3).values
+    scores, coef = _scores(x)
+    ref_scores, ref_coef = loop_scores(x)
+    assert np.array_equal(scores, ref_scores)
+    assert np.array_equal(coef, ref_coef)
 
 
 def test_chain_model_root_minimizes_score():
@@ -96,6 +94,8 @@ def test_requires_candidate_in_active_set():
         t_statistic(3, {1, 2}, ds)
     with pytest.raises(DimensionError):
         t_statistic(1, {1}, ds)
+    with pytest.raises(DimensionError, match="at least two variables"):
+        t_profile(set(), ds)
 
 
 def test_two_variable_proportional_pair_picks_cause():
@@ -108,6 +108,22 @@ def test_identical_rows_tie_break_to_lower_subscript():
     row = np.array([0.25, -1.0, 0.5, 0.25])
     ds = center(np.vstack([row, row]))
     assert find_most_independent({1, 2}, ds) == 1
+
+
+def test_root_pick_ties_to_first_position_and_rejects_nan():
+    assert _argmin(np.array([0.5, 0.25, 0.25])) == 1
+    for scores in ([0.5, float("nan"), 0.25], [0.25, 0.5, float("nan")]):
+        with pytest.raises(NonFiniteValue):
+            _argmin(np.array(scores))
+
+
+@pytest.mark.parametrize("active, bad", [({0, 1, 2}, 0), ({-1, 0, 1}, -1), ({1, 2, 4}, 4)])
+def test_subscripts_outside_one_to_p_raise(active, bad):
+    # Without the check 0 and -1 wrap to the last rows and 4 leaks an IndexError.
+    ds = chain_dataset(50, np.random.default_rng(0))
+    for call in (t_profile, find_most_independent, lambda a, d: t_statistic(1, a, d)):
+        with pytest.raises(DimensionError, match=rf"subscript {bad} is outside 1\.\.3"):
+            call(active, ds)
 
 
 def test_select_minimum_rejects_nan_scores():
