@@ -12,13 +12,13 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__, direct
 from .bootstrap import bootstrap_cis
-from .core import CausalOrder, ConnectionMatrix, Dataset, center
+from .core import CausalOrder, Dataset, _field_dict, center
 from .errors import (
     DimensionMismatch,
     LingamError,
@@ -27,7 +27,7 @@ from .errors import (
     RaggedRows,
     SchemaVersionError,
 )
-from .evaluation import ESTIMATORS, BenchmarkGrid, run_benchmark
+from .evaluation import BenchmarkGrid, run_benchmark
 from .ica import ica_lingam_fit
 from .synth import generate
 
@@ -39,8 +39,8 @@ def _schema(name: str) -> dict:
     return {"name": name, "major": SCHEMA_MAJOR, "minor": SCHEMA_MINOR}
 
 
-def _check_schema(doc: dict, name: str) -> None:
-    schema = doc.get("schema")
+def _check_schema(doc, name: str) -> None:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if not isinstance(schema, dict) or schema.get("name") != name:
         raise SchemaVersionError(f"not a {name} document")
     if schema.get("major") != SCHEMA_MAJOR:
@@ -140,58 +140,60 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in dataset.values.T.tolist())
 
 
+def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in row) for row in rows)
+
+
+def _of(kind):
+    """A reader that passes a value of type ``kind`` and refuses any other."""
+
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return read
+
+
+def _read(read, default=MISSING):
+    """A document field whose JSON value ``read`` turns back into the field's value."""
+    return field(default=default, metadata={"read": read})
+
+
 @dataclass(frozen=True)
 class ModelDocument:
-    """Serialized estimation result; restores everything bit-for-bit."""
+    """Serialized estimation result; restores everything bit-for-bit.
 
-    labels: tuple[str, ...]
-    order: tuple[int, ...]
-    strengths: tuple[tuple[float, ...], ...]
-    diagnostics: tuple[tuple[tuple[int, float], ...], ...]
-    estimator: str
-    seed: int
-    version: str
-    pruned: tuple[tuple[float, ...], ...] | None = None
-    converged: bool | None = None
+    The fields, in order, are the document's keys after ``schema``."""
+
+    labels: tuple[str, ...] = _read(tuple)
+    order: tuple[int, ...] = _read(lambda subs: tuple(int(s) for s in subs))
+    strengths: tuple[tuple[float, ...], ...] = _read(_float_rows)
+    diagnostics: tuple[tuple[tuple[int, float], ...], ...] = _read(
+        lambda steps: tuple(tuple((int(s), float(t)) for s, t in step) for step in steps)
+    )
+    estimator: str = _read(_of(str))
+    seed: int = _read(int)
+    version: str = _read(_of(str))
+    pruned: tuple[tuple[float, ...], ...] | None = _read(_float_rows, None)
+    converged: bool | None = _read(_of(bool), None)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": _schema("lingamkit-model"),
-            "labels": list(self.labels),
-            "order": list(self.order),
-            "strengths": [list(row) for row in self.strengths],
-            "diagnostics": [[[s, t] for s, t in step] for step in self.diagnostics],
-            "estimator": self.estimator,
-            "seed": self.seed,
-            "version": self.version,
-            "pruned": None if self.pruned is None else [list(row) for row in self.pruned],
-            "converged": self.converged,
-        }
+        return {"schema": _schema("lingamkit-model"), **_field_dict(self)}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ModelDocument":
+    def from_dict(cls, doc) -> "ModelDocument":
+        """A value its field's reader refuses raises ``ValueError`` naming the field;
+        a missing required key raises ``KeyError``, a null optional one reads as None."""
         _check_schema(doc, "lingamkit-model")
-        return cls(
-            labels=tuple(doc["labels"]),
-            order=tuple(int(s) for s in doc["order"]),
-            strengths=tuple(tuple(float(v) for v in row) for row in doc["strengths"]),
-            diagnostics=tuple(
-                tuple((int(s), float(t)) for s, t in step) for step in doc["diagnostics"]
-            ),
-            estimator=doc["estimator"],
-            seed=int(doc["seed"]),
-            version=doc["version"],
-            pruned=(
-                None
-                if doc.get("pruned") is None
-                else tuple(tuple(float(v) for v in row) for row in doc["pruned"])
-            ),
-            converged=doc.get("converged"),
-        )
-
-
-def _matrix_rows(m: ConnectionMatrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in m.entries)
+        values = {}
+        for f in fields(cls):
+            value = doc[f.name] if f.default is MISSING else doc.get(f.name)
+            try:
+                values[f.name] = value if value is f.default else f.metadata["read"](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"model field {f.name}: {exc}") from None
+        return cls(**values)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -220,14 +222,14 @@ def _cmd_fit(args) -> int:
         baseline = ica_lingam_fit(data, np.random.default_rng(args.seed))
         order, strengths = baseline.order, baseline.strengths
         diagnostics = ()
-        pruned = _matrix_rows(baseline.pruned)
+        pruned = _float_rows(baseline.pruned.entries)
         converged = baseline.converged
         printable = baseline.pruned
 
     doc = ModelDocument(
         labels=data.labels,
         order=order.order,
-        strengths=_matrix_rows(strengths),
+        strengths=_float_rows(strengths.entries),
         diagnostics=diagnostics,
         estimator=args.method,
         seed=args.seed,
@@ -254,7 +256,7 @@ def _cmd_simulate(args) -> int:
         "network": args.network,
         "seed": args.seed,
         "version": __version__,
-        "b_true": _matrix_rows(truth.b_true),
+        "b_true": _float_rows(truth.b_true.entries),
         "noise_stds": list(truth.noise_stds),
         "exponents": list(truth.exponents),
         "shuffle": list(truth.shuffle.order),
@@ -268,13 +270,11 @@ def _cmd_benchmark(args) -> int:
     with open(args.grid, encoding="utf-8") as fh:
         grid_doc = json.load(fh)
     _check_schema(grid_doc, "lingamkit-grid")
-    grid = BenchmarkGrid(
-        p_values=tuple(grid_doc["p_values"]),
-        n_values=tuple(grid_doc["n_values"]),
-        trials=int(grid_doc["trials"]),
-        estimators=tuple(grid_doc.get("estimators", ESTIMATORS)),
-        master_seed=int(grid_doc.get("master_seed", 0)),
-    )
+    missing = [key for key in ("p_values", "n_values", "trials") if key not in grid_doc]
+    if missing:  # a grid without them would fall back to the full protocol
+        raise ValueError(f"grid document lacks {', '.join(missing)}")
+    known = {f.name for f in fields(BenchmarkGrid)}
+    grid = BenchmarkGrid(**{key: value for key, value in grid_doc.items() if key in known})
     report = run_benchmark(grid, threads=args.threads)
     payload = {"schema": _schema("lingamkit-benchmark-report"), "version": __version__}
     payload.update(report.to_dict(include_timings=args.timings))
@@ -309,17 +309,7 @@ def _cmd_bootstrap(args) -> int:
         "resamples": report.resamples,
         "singular_redraws": report.singular_redraws,
         "seed": args.seed,
-        "edges": [
-            {
-                "i": e.i,
-                "j": e.j,
-                "point": e.point,
-                "lower": e.lower,
-                "upper": e.upper,
-                "significant": e.significant,
-            }
-            for e in report.edges
-        ],
+        "edges": [_field_dict(e) for e in report.edges],
     }
     _write_json(args.out, payload)
     for edge in report.edges:

@@ -19,7 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,6 +70,11 @@ def _gram(x: np.ndarray) -> np.ndarray:
 def _constant_rows(x: np.ndarray) -> np.ndarray:
     """Mask of the rows (along the last axis) whose entries are all equal; ptp can overflow."""
     return x.max(axis=-1) == x.min(axis=-1)
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order; values are not copied."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _subscripts(subs, p: int) -> list[int]:

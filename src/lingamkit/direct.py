@@ -174,7 +174,7 @@ def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     # n or more predictors are singular by rank: test only the smaller designs.
     b = _regress(data.values[order.indices[: data.n]])
     if data.p > data.n:
-        raise TooFewObservations(f"{data.n} predictors with only {data.n} observations")
+        raise TooFewObservations(f"{data.p - 1} predictors with only {data.n} observations")
     pos = order.inverse().indices
     return ConnectionMatrix(b[np.ix_(pos, pos)])
 

@@ -24,16 +24,18 @@ from __future__ import annotations
 import csv
 import os
 import threading
+from collections.abc import Iterable
 # ``ThreadPoolExecutor`` stays importable here: perfbench/spans.py swaps it by name.
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
+from numbers import Real
 from time import perf_counter, sleep
 
 import numpy as np
 
 from . import direct
-from .core import ConnectionMatrix, _as_order, permute_matrix
+from .core import ConnectionMatrix, _as_order, _field_dict, permute_matrix
 from .errors import DimensionMismatch, LingamError
 from .ica import ica_lingam_fit
 from .synth import check_size, generate
@@ -76,17 +78,31 @@ class BenchmarkGrid:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("p_values", "n_values", "estimators"):
+            values = getattr(self, name)
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
+        for name in ("p_values", "n_values"):
+            object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
+        for name in ("trials", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.p_values or not self.n_values:
             raise ValueError("p_values and n_values must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        unknown = set(self.estimators) - set(ESTIMATORS)
+        unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
-            raise ValueError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
-        object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+            raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
         check_size(min(self.p_values), min(self.n_values))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+
+
+def _integer(field: str, value) -> int:
+    """``value`` as an int if it is a whole number such as 4 or 4.0, else a
+    ``ValueError`` naming ``field``. Bools, NaN and infinities are refused."""
+    if not isinstance(value, Real) or isinstance(value, bool) or value % 1:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -163,14 +179,10 @@ class EvaluationReport:
                 results = cell.trials[name]
                 trials = []
                 for r in results:
-                    row = {
-                        "trial": r.trial,
-                        "order_errors": r.order_errors,
-                        "frobenius": r.frobenius,
-                        "error": r.error,
-                    }
+                    row = _field_dict(r)
+                    seconds = row.pop("seconds")  # last, and only on request
                     if include_timings:
-                        row["seconds"] = r.seconds
+                        row["seconds"] = seconds
                     trials.append(row)
                 summaries = dict(cell.summaries[name])
                 if not include_timings:
@@ -182,34 +194,23 @@ class EvaluationReport:
                 }
             cells.append({"p": cell.p, "n": cell.n, "estimators": estimators})
         return {
-            "grid": {
-                "p_values": list(self.grid.p_values),
-                "n_values": list(self.grid.n_values),
-                "trials": self.grid.trials,
-                "estimators": list(self.grid.estimators),
-                "master_seed": self.grid.master_seed,
-            },
+            "grid": _field_dict(self.grid),
             "cells": cells,
         }
 
     def write_csv(self, path, include_timings: bool = False) -> None:
-        """One row per (cell, estimator, trial)."""
+        """One row per (cell, estimator, trial), whose last columns are the fields
+        of ``TrialResult``; ``seconds`` is left empty unless requested."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "n", "estimator", "trial", "order_errors", "frobenius", "seconds", "error"])
+            writer = csv.writer(fh)  # writes None as an empty cell, a float by repr
+            writer.writerow(["p", "n", "estimator", *(f.name for f in fields(TrialResult))])
             for cell in self.cells:
                 for name in self.grid.estimators:
                     for r in cell.trials[name]:
-                        writer.writerow([
-                            cell.p,
-                            cell.n,
-                            name,
-                            r.trial,
-                            "" if r.order_errors is None else r.order_errors,
-                            "" if r.frobenius is None else repr(r.frobenius),
-                            repr(r.seconds) if include_timings else "",
-                            r.error or "",
-                        ])
+                        row = _field_dict(r)
+                        if not include_timings:
+                            row["seconds"] = None
+                        writer.writerow([cell.p, cell.n, name, *row.values()])
 
     def summary_table(self) -> str:
         """Plain-text medians per cell and estimator."""

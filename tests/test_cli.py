@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
+import operator
 import warnings
 
 import numpy as np
@@ -412,3 +414,176 @@ class TestCommands:
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "r.json")
         assert code == 1
         assert "SchemaVersionError" in capsys.readouterr().err
+
+    def test_fit_p_above_n_counts_the_last_variables_predecessors(self, tmp_path, capsys):
+        run_cli(
+            "simulate", "--p", 30, "--n", 12, "--network", "dense", "--seed", 2,
+            "--out-data", tmp_path / "x.csv", "--out-truth", tmp_path / "t.json",
+        )
+        capsys.readouterr()
+        assert run_cli("fit", "--input", tmp_path / "x.csv", "--output", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err == "TooFewObservations: 29 predictors with only 12 observations\n"
+
+
+SCHEMA = {"schema": {"name": "lingamkit-grid", "major": 1, "minor": 0}}
+
+
+def one_error_line(capsys) -> str:
+    """The stderr of a failed command, which must be one line and no traceback."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestMalformedDocuments:
+    GRID = {**SCHEMA, "p_values": [3], "n_values": [40], "trials": 2}
+
+    def run_grid(self, tmp_path, doc, *options):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc), encoding="utf-8")
+        return run_cli("benchmark", "--grid", grid, "--out", tmp_path / "r.json", *options)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"trials": None}, "ValueError: trials must be an integer, got None\n"),
+            ({"trials": 1.7}, "ValueError: trials must be an integer, got 1.7\n"),
+            ({"trials": True}, "ValueError: trials must be an integer, got True\n"),
+            ({"master_seed": "1"}, "ValueError: master_seed must be an integer, got '1'\n"),
+            ({"p_values": "10"}, "ValueError: p_values must be a list, got '10'\n"),
+            ({"n_values": [40, None]}, "ValueError: n_values must be an integer, got None\n"),
+            ({"estimators": "direct"}, "ValueError: estimators must be a list, got 'direct'\n"),
+            ({"estimators": [["direct"]]}, "ValueError: unknown estimators [['direct']]; "
+                                           "choose from ('direct', 'ica_baseline')\n"),
+            ({"trials": "missing"}, "ValueError: grid document lacks trials\n"),
+        ],
+        ids=["trials-null", "trials-1.7", "trials-true", "seed-string", "p-string", "n-null",
+             "estimators-string", "estimators-nested", "trials-missing"],
+    )
+    def test_bad_grid_field_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, changes, message):
+        trials = []
+        monkeypatch.setattr(evaluation, "_run_trial", lambda *task: trials.append(task))
+        doc = {**self.GRID, **changes}
+        doc = {key: value for key, value in doc.items() if value != "missing"}
+        assert self.run_grid(tmp_path, doc) == 1
+        assert one_error_line(capsys) == message
+        assert trials == []
+
+    def test_integral_values_and_defaults_accepted(self, tmp_path, capsys):
+        # The sweep workload's warm-up grid leaves out estimators and master_seed.
+        assert self.run_grid(tmp_path, {**self.GRID, "p_values": [3.0], "trials": 2.0, "x": 1}) == 0
+        grid = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["grid"]
+        assert grid == {
+            "p_values": [3], "n_values": [40], "trials": 2,
+            "estimators": ["direct", "ica_baseline"], "master_seed": 0,
+        }
+
+    @pytest.mark.parametrize("command", ["benchmark", "bootstrap"])
+    def test_top_level_array_is_not_a_document(self, tmp_path, capsys, command):
+        doc = tmp_path / "doc.json"
+        doc.write_text("[1, 2]", encoding="utf-8")
+        if command == "benchmark":
+            code = run_cli("benchmark", "--grid", doc, "--out", tmp_path / "r.json")
+            expected = "SchemaVersionError: not a lingamkit-grid document\n"
+        else:
+            data = write_text(tmp_path / "d.csv", "a,b\n1,4\n2,5\n3,9\n")
+            code = run_cli("bootstrap", "--input", data, "--model", doc, "--out", tmp_path / "e.json")
+            expected = "SchemaVersionError: not a lingamkit-model document\n"
+        assert code == 1
+        assert one_error_line(capsys) == expected
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("order", [None, 1, 2]), ("diagnostics", [[1]]), ("seed", 1e400), ("estimator", 5),
+         ("strengths", None), ("converged", "yes")],
+    )
+    def test_model_field_of_the_wrong_type_is_named(self, tmp_path, capsys, field, value):
+        data = TestCommands().write_chain_csv(tmp_path, n=200)
+        run_cli("fit", "--input", data, "--output", tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        doc[field] = value
+        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("bootstrap", "--input", data, "--model", tmp_path / "m.json",
+                       "--out", tmp_path / "e.json")
+        assert code == 1
+        assert one_error_line(capsys).startswith(f"ValueError: model field {field}: ")
+
+
+MODEL_KEYS = ["schema", "labels", "order", "strengths", "diagnostics", "estimator", "seed",
+              "version", "pruned", "converged"]
+REPORT_KEYS = ["schema", "version", "grid", "cells"]
+GRID_KEYS = ["p_values", "n_values", "trials", "estimators", "master_seed"]
+TRIAL_KEYS = ["trial", "order_errors", "frobenius", "error"]
+SUMMARY_KEYS = ["order_errors", "frobenius"]
+DIRECT = ("cells", 0, "estimators", "direct")
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Every JSON document the CLI writes, from one small run."""
+    d = tmp_path_factory.mktemp("artifacts")
+    (d / "grid.json").write_text(
+        json.dumps({**SCHEMA, "p_values": [3], "n_values": [40], "trials": 2}), encoding="utf-8"
+    )
+    commands = [
+        ("simulate", "--p", 3, "--n", 300, "--seed", 1,
+         "--out-data", d / "x.csv", "--out-truth", d / "truth.json"),
+        ("fit", "--input", d / "x.csv", "--output", d / "model-direct.json"),
+        ("fit", "--input", d / "x.csv", "--method", "ica", "--output", d / "model-ica.json"),
+        ("bootstrap", "--input", d / "x.csv", "--model", d / "model-direct.json",
+         "--resamples", 100, "--out", d / "edges.json"),
+        ("benchmark", "--grid", d / "grid.json", "--out", d / "report.json", "--csv", d / "report.csv"),
+        ("benchmark", "--grid", d / "grid.json", "--out", d / "report-timings.json", "--timings"),
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 0
+    return d
+
+
+# Written key order of each document: its top-level keys, and {path to a nested object: its keys}.
+DOCUMENT_KEYS = {
+    "model-direct": (MODEL_KEYS, {}),
+    "model-ica": (MODEL_KEYS, {}),
+    "edges": (
+        ["schema", "version", "estimator", "level", "resamples", "singular_redraws", "seed", "edges"],
+        {("edges", 0): ["i", "j", "point", "lower", "upper", "significant"]},
+    ),
+    "report": (
+        REPORT_KEYS,
+        {
+            ("grid",): GRID_KEYS,
+            ("cells", 0): ["p", "n", "estimators"],
+            DIRECT: ["trials", "failures", "summaries"],
+            DIRECT + ("summaries",): SUMMARY_KEYS,
+            DIRECT + ("trials", 0): TRIAL_KEYS,
+        },
+    ),
+    "report-timings": (
+        REPORT_KEYS,
+        {
+            ("grid",): GRID_KEYS,
+            DIRECT + ("summaries",): SUMMARY_KEYS + ["seconds"],
+            DIRECT + ("trials", 0): TRIAL_KEYS + ["seconds"],
+        },
+    ),
+    "truth": (
+        ["schema", "p", "n", "network", "seed", "version", "b_true", "noise_stds", "exponents", "shuffle"],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_KEYS))
+def test_document_key_order(artifacts, name):
+    top, nested = DOCUMENT_KEYS[name]
+    doc = json.loads((artifacts / f"{name}.json").read_text(encoding="utf-8"))
+    assert list(doc) == top
+    for path, keys in nested.items():
+        assert list(functools.reduce(operator.getitem, path, doc)) == keys
+
+
+def test_report_csv_column_order(artifacts):
+    with open(artifacts / "report.csv", newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["p", "n", "estimator", "trial", "order_errors", "frobenius", "seconds", "error"]

@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -113,6 +115,35 @@ class TestBenchmarkGrid:
             BenchmarkGrid(trials=0)
         with pytest.raises(ValueError):
             BenchmarkGrid(estimators=("direct", "pc"))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"p_values": "10"}, "p_values must be a list, got '10'"),
+            ({"n_values": 50}, "n_values must be a list, got 50"),
+            ({"p_values": (4, 2.5)}, "p_values must be an integer, got 2.5"),
+            ({"trials": 1.7}, "trials must be an integer, got 1.7"),
+            ({"trials": None}, "trials must be an integer, got None"),
+            ({"trials": float("nan")}, "trials must be an integer, got nan"),
+            ({"master_seed": "0"}, "master_seed must be an integer, got '0'"),
+            ({"master_seed": False}, "master_seed must be an integer, got False"),
+            ({"estimators": "direct"}, "estimators must be a list, got 'direct'"),
+            ({"estimators": None}, "estimators must be a list, got None"),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchmarkGrid(**kwargs)
+
+    def test_integral_values_become_ints(self):
+        grid = BenchmarkGrid(
+            p_values=[4.0], n_values=range(50, 52), trials=np.float64(2), master_seed=np.int64(3),
+            estimators=["direct"],
+        )
+        assert grid == BenchmarkGrid(
+            p_values=(4,), n_values=(50, 51), trials=2, master_seed=3, estimators=("direct",)
+        )
+        assert all(type(v) is int for v in (*grid.p_values, *grid.n_values, grid.trials, grid.master_seed))
 
     @pytest.mark.parametrize(
         "p_values, n_values, message",
@@ -265,7 +296,34 @@ def running(pid):
         return False
 
 
+# threading.active_count() in the parent at each fork, recorded while this is a list.
+_fork_thread_counts = None
+
+
+def _record_fork():
+    if _fork_thread_counts is not None:
+        _fork_thread_counts.append(threading.active_count())
+
+
+os.register_at_fork(before=_record_fork)
+
+
 class TestWorkerProcesses:
+    def test_sweeps_fork_with_no_other_thread_alive(self):
+        # Python 3.12 warns on a fork from a multi-threaded process, but under an
+        # "error" warning filter it drops that warning unseen, so count the threads:
+        # the pool must fork its workers before it starts a thread, and a second
+        # sweep must find the first one's threads gone.
+        global _fork_thread_counts
+        _fork_thread_counts = []
+        try:
+            for trials in (3, 1):
+                grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=trials, estimators=("direct",))
+                run_benchmark(grid, threads=2)
+            assert _fork_thread_counts == [1, 1, 1]
+        finally:
+            _fork_thread_counts = None
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_fewer_than_one_worker_rejected(self, threads):
         grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=1)
