@@ -7,10 +7,10 @@ Conventions used throughout the package:
 * Variable *subscripts* are 1-based (``x1 .. xp``), matching generated
   labels and printed output. Anything named ``indices`` is 0-based and
   meant for numpy indexing.
-* A ``Dataset`` is always centered: construction rejects a row whose
-  mean is off zero by more than ``CENTERED_TOL`` relative to its max
-  magnitude, so estimators take any ``Dataset`` as centered data.
-  ``center()`` builds one from raw values.
+* A ``Dataset`` is always centered: construction centers its own
+  C-ordered copy of the rows by the one rule of ``_center_rows``, so
+  estimators take any ``Dataset`` as centered data. ``center()`` is the
+  same construction with default labels.
 * Sample moments use the 1/n divisor. Regression coefficients are
   ratios of moments, so estimates do not depend on this choice; it is
   fixed here so that every statistic in the package is reproducible to
@@ -36,15 +36,26 @@ from .errors import (
 RCOND_THRESHOLD = 1e-10
 
 # A row counts as centered when |mean| <= CENTERED_TOL * max|row|.
-# Rows already inside this band are left bit-for-bit untouched by
-# center(), which makes centering idempotent and CSV round trips exact.
+# Rows already inside this band are left bit-for-bit untouched, which
+# makes centering idempotent and CSV round trips exact.
 CENTERED_TOL = 1e-12
 
 
-def _off_center(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means, and the mask of rows off center: ``|mean| > CENTERED_TOL * max|row|``."""
-    means = values.mean(axis=1)
-    return means, np.abs(means) > CENTERED_TOL * np.abs(values).max(axis=1)
+def _center_rows(x: np.ndarray) -> np.ndarray:
+    """Center in place each row of a C-ordered block whose ``|mean| > CENTERED_TOL *
+    max|row|``, again if that changed a row (a mean large against the row's spread leaves
+    a residue); a row that overflows raises ``NonFiniteValue``. Returns the constant rows."""
+    for _ in range(2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = x.mean(axis=1)
+            off = ~(np.abs(means) <= CENTERED_TOL * np.abs(x).max(axis=1))
+            if not off.any():
+                break
+            x[off] -= means[off, None]
+        overflowed = np.flatnonzero(off)[~np.isfinite(x[off]).all(axis=1)]
+        if overflowed.size:
+            raise NonFiniteValue(f"row {overflowed[0] + 1} overflows when centered")
+    return _constant_rows(x)
 
 
 def _require_matrix(values: np.ndarray) -> None:
@@ -89,8 +100,8 @@ def _subscripts(subs, p: int) -> list[int]:
 class Dataset:
     """A centered ``p x n`` observation matrix, one variable per row, held C-ordered.
 
-    Rejects NaN or infinite entries, constant rows, and rows whose mean is
-    not zero to within ``CENTERED_TOL`` relative to the row's max magnitude.
+    Centers a C-ordered copy of ``values`` by ``_center_rows``, so the caller's array
+    is untouched. Rejects NaN or infinite entries and constant rows.
     """
 
     values: np.ndarray
@@ -102,14 +113,9 @@ class Dataset:
         labels = tuple(self.labels)
         if len(labels) != len(arr):
             raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
-        constant = _constant_rows(arr)
-        means, off = _off_center(arr)
-        bad = constant | off
-        if bad.any():
-            i = int(np.argmax(bad))
-            if constant[i]:
-                raise ZeroVarianceRow(i + 1)
-            raise DimensionError(f"row {i + 1} has mean {means[i]:g}; run center() first")
+        constant = _center_rows(arr)
+        if constant.any():
+            raise ZeroVarianceRow(int(np.argmax(constant)) + 1)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "labels", labels)
@@ -132,20 +138,15 @@ def default_labels(p: int) -> tuple[str, ...]:
 
 
 def center(raw, labels=None) -> Dataset:
-    """Subtract each row's sample mean, realizing the zero-mean model assumption.
+    """The ``Dataset`` of ``raw``, labelled ``x1 .. xp`` unless ``labels`` are given.
 
-    Rows whose mean is already within ``CENTERED_TOL`` of zero are left untouched, so
-    ``center`` is idempotent at the bit level. NaN or inf raises ``NonFiniteValue``.
+    ``Dataset`` subtracts each row's mean, realizing the zero-mean model assumption;
+    rows within ``CENTERED_TOL`` of zero keep their bits, so ``center`` is idempotent.
     """
-    values = np.array(raw, dtype=float)
-    _require_matrix(values)
-    # A second pass removes the rounding residue that a mean large
-    # relative to the row's spread leaves behind.
-    for _ in range(2):
-        means, off = _off_center(values)
-        values[off] -= means[off, None]
+    values = np.asarray(raw, dtype=float)
     if labels is None:
-        labels = default_labels(len(values))
+        # A non-matrix gets no labels, so that Dataset reports its shape.
+        labels = default_labels(len(values) if values.ndim == 2 else 0)
     return Dataset(values, tuple(labels))
 
 

@@ -32,9 +32,8 @@ from .core import (  # noqa: F401
     ConnectionMatrix,
     Dataset,
     _as_order,
-    _constant_rows,
+    _center_rows,
     _gram,
-    _off_center,
     center,
     permute_matrix,
     simple_residual,
@@ -88,9 +87,7 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
     diagnostics: list[dict[int, float]] = []
 
     while len(subs) > 1:
-        means, off = _off_center(x)
-        x[off] -= means[off, None]
-        constant = _constant_rows(x)
+        constant = _center_rows(x)
         if constant.any():
             sub = subs[int(np.argmax(constant))]
             why = "became constant after residualization (exact collinearity)"

@@ -91,6 +91,8 @@ class BenchmarkGrid:
             raise ValueError("p_values and n_values must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must not be negative, got {self.master_seed}")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")

@@ -105,12 +105,7 @@ def _argmin(scores: np.ndarray) -> int:
     return int(np.argmin(scores))
 
 
-def select_minimum(profile: dict[int, float]) -> int:
-    """Lowest-scoring subscript, ties to the lowest: ``_argmin`` over ascending keys."""
-    subs = sorted(profile)
-    return subs[_argmin(np.array([profile[j] for j in subs]))]
-
-
 def find_most_independent(active, data: Dataset) -> int:
-    """The active variable most independent of its residuals (score argmin)."""
-    return select_minimum(t_profile(active, data))
+    """The active variable with the lowest score; ``t_profile``'s keys ascend, so ties go low."""
+    profile = t_profile(active, data)
+    return list(profile)[_argmin(np.array(list(profile.values())))]

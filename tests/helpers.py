@@ -13,7 +13,7 @@ import numpy as np
 from lingamkit import CausalOrder, ConnectionMatrix, center, simple_residual
 from lingamkit.core import _gram, find_strict_lower_permutation
 from lingamkit.errors import NonFiniteValue, ZeroVarianceRow
-from lingamkit.independence import _abs_corr, select_minimum
+from lingamkit.independence import _abs_corr
 
 # The worked three-variable example model:
 #   x1 = e1,  x2 = 1.5 x1 + e2,  x3 = 0.8 x1 - 1.5 x2 + e3
@@ -187,6 +187,18 @@ def loop_scores(x):
     return scores, coef
 
 
+def loop_pick(profile):
+    """The lowest-scoring key by a plain scan in ascending key order, so a tie goes
+    to the lowest subscript; a NaN score raises the library's ``NonFiniteValue``."""
+    pick = None
+    for j in sorted(profile):
+        if math.isnan(profile[j]):
+            raise NonFiniteValue("an independence score is NaN")
+        if pick is None or profile[j] < profile[pick]:
+            pick = j
+    return pick
+
+
 def loop_estimate_order(data):
     """DirectLiNGAM as a loop: per step, rebuild a centered Dataset of the
     working rows, refuse it when a product sum of two rows overflows, score each
@@ -211,7 +223,7 @@ def loop_estimate_order(data):
                 raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
         local = range(1, len(subs) + 1)
         profile = {j: loop_t_statistic(j, local, working.values) for j in local}
-        pick = select_minimum(profile)
+        pick = loop_pick(profile)
         diagnostics.append({subs[j - 1]: float(t) for j, t in profile.items()})
         order.append(subs[pick - 1])
         root = working.values[pick - 1]

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lingamkit import Dataset, center, direct, evaluation, generate
+from lingamkit import Dataset, __version__, center, direct, evaluation, generate
 from lingamkit.cli import ModelDocument, load_csv, main, write_dataset_csv
 from lingamkit.errors import NonNumericCell, ParseError, RaggedRows
 
@@ -258,6 +258,28 @@ class TestCommands:
         )
         assert out.read_bytes() == (json.dumps(expected.to_dict(), indent=2) + "\n").encode("utf-8")
 
+    def test_fit_of_an_uncentered_csv_matches_in_process_fit(self, tmp_path, capsys):
+        # The loaded table is transposed, not C-ordered; Dataset centers its own
+        # C-ordered copy, so the CLI and the library center by the same arithmetic.
+        rng = np.random.default_rng(9)
+        values = chain_dataset(2000, rng).values * [[1.0], [3.0], [0.5]] + rng.uniform(-4, 4, (3, 1))
+        labels = ("a", "b", "c")
+        path, out = tmp_path / "u.csv", tmp_path / "m.json"
+        np.savetxt(path, values.T, fmt="%.17g", delimiter=",", header=",".join(labels), comments="")
+        assert np.array_equal(load_csv(path).values, center(values, labels).values)
+        assert run_cli("fit", "--input", path, "--output", out) == 0
+        model = direct.fit(center(values, labels))
+        expected = ModelDocument(
+            labels=labels,
+            order=model.order.order,
+            strengths=tuple(tuple(row) for row in model.strengths.entries.tolist()),
+            diagnostics=tuple(tuple(sorted(step.items())) for step in model.diagnostics),
+            estimator="direct",
+            seed=0,
+            version=__version__,
+        )
+        assert out.read_bytes() == (json.dumps(expected.to_dict(), indent=2) + "\n").encode("utf-8")
+
     def test_model_bytes_same_as_with_numpy_float_scores(self, tmp_path, capsys):
         data = self.write_chain_csv(tmp_path)
         out = tmp_path / "m.json"
@@ -450,6 +472,7 @@ class TestMalformedDocuments:
             ({"trials": 1.7}, "ValueError: trials must be an integer, got 1.7\n"),
             ({"trials": True}, "ValueError: trials must be an integer, got True\n"),
             ({"master_seed": "1"}, "ValueError: master_seed must be an integer, got '1'\n"),
+            ({"master_seed": -1}, "ValueError: master_seed must not be negative, got -1\n"),
             ({"p_values": "10"}, "ValueError: p_values must be a list, got '10'\n"),
             ({"n_values": [40, None]}, "ValueError: n_values must be an integer, got None\n"),
             ({"estimators": "direct"}, "ValueError: estimators must be a list, got 'direct'\n"),
@@ -457,8 +480,8 @@ class TestMalformedDocuments:
                                            "choose from ('direct', 'ica_baseline')\n"),
             ({"trials": "missing"}, "ValueError: grid document lacks trials\n"),
         ],
-        ids=["trials-null", "trials-1.7", "trials-true", "seed-string", "p-string", "n-null",
-             "estimators-string", "estimators-nested", "trials-missing"],
+        ids=["trials-null", "trials-1.7", "trials-true", "seed-string", "seed-negative", "p-string",
+             "n-null", "estimators-string", "estimators-nested", "trials-missing"],
     )
     def test_bad_grid_field_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, changes, message):
         trials = []

@@ -11,6 +11,7 @@ from lingamkit import (
     permute_matrix,
     simple_residual,
 )
+from lingamkit.core import default_labels
 from lingamkit.errors import (
     DimensionError,
     InvalidPermutation,
@@ -77,11 +78,37 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.values[0, 0] = 9.0
 
-    def test_centered_flag_checked(self):
-        # Every Dataset is centered: construction checks the row means.
-        with pytest.raises(DimensionError, match=r"row 1 has mean 2; run center\(\) first"):
-            Dataset(np.array([[1.0, 2.0, 3.0]]), ("x1",))
-        Dataset(np.array([[-1.0, 0.0, 1.0]]), ("x1",))
+    def test_centers_a_copy_like_center(self):
+        # Every Dataset is centered: construction centers its own C-ordered copy,
+        # so the input's layout changes no bit and the caller's array is kept.
+        raw = np.random.default_rng(1).standard_normal((6, 3000)) ** 3 + np.arange(1.0, 7.0)[:, None]
+        expected = center(raw).values
+        assert np.abs(expected.mean(axis=1)).max() < 1e-15
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            given = layout(raw)
+            kept = given.copy()
+            assert np.array_equal(Dataset(given, default_labels(6)).values, expected)
+            assert np.array_equal(center(given).values, expected)
+            assert np.array_equal(given, kept)
+
+    @pytest.mark.parametrize(
+        "raw, labels, error, message",
+        [
+            (1.0, (), DimensionError, "expected a 2-D matrix, got 0-D"),
+            ([1.0, 2.0, 3.0], ("x1",), DimensionError, "expected a 2-D matrix, got 1-D"),
+            (np.empty((0, 1)), (), DimensionError, "need at least one variable"),
+            ([[1.0, 2.0], [np.nan, 1.0]], ("x1", "x2"), NonFiniteValue, "row 2, observation 1 is nan"),
+            ([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]], ("x1", "x2"), ZeroVarianceRow,
+             "row 2 has zero sample variance"),
+            ([[1.7e308, 1.7e308, -1.7e308]], ("x1",), NonFiniteValue, "row 1 overflows when centered"),
+        ],
+        ids=["0-D", "1-D", "0x1", "nan", "constant-row", "overflow"],
+    )
+    def test_bad_input_fails_alike_through_dataset_and_center(self, raw, labels, error, message):
+        for build in (lambda: Dataset(np.asarray(raw), labels), lambda: center(raw)):
+            with pytest.raises(error) as err:
+                build()
+            assert str(err.value) == message
 
     def test_row_accessor_uses_subscripts(self):
         ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])

@@ -319,12 +319,17 @@ class TestFit:
         assert [len(step) for step in model.diagnostics] == [5, 4, 3, 2]
 
 
-def test_uncentered_dataset_rejected():
-    from lingamkit.errors import DimensionError
-
-    # Estimators take every Dataset as centered: uncentered values fail at construction.
-    with pytest.raises(DimensionError, match=r"run center\(\) first"):
-        Dataset(np.array([[1.0, 2.0, 4.0], [0.0, 1.0, 5.0]]), ("x1", "x2"))
+def test_uncentered_dataset_fits_as_centered_data():
+    # Estimators take every Dataset as centered: construction centers uncentered
+    # values, whatever their layout, so the fit is the fit of center()'s rows.
+    rng = np.random.default_rng(8)
+    raw = chain_dataset(400, rng).values + rng.uniform(-5.0, 5.0, size=(3, 1))
+    expected = fit(center(raw))
+    for given in (raw, np.asfortranarray(raw)):
+        model = fit(Dataset(given, ("x1", "x2", "x3")))
+        assert model.order == expected.order
+        assert np.array_equal(model.strengths.entries, expected.strengths.entries)
+        assert model.diagnostics == expected.diagnostics
 
 
 def test_fitted_model_validates_diagnostics_shape():

@@ -5,11 +5,12 @@ from lingamkit import (
     center,
     find_most_independent,
     generate,
+    independence,
     t_profile,
     t_statistic,
 )
 from lingamkit.errors import DimensionError, NonFiniteValue, NotInActiveSet
-from lingamkit.independence import _argmin, _scores, select_minimum
+from lingamkit.independence import _argmin, _scores
 
 from helpers import chain_dataset, loop_scores, loop_t_statistic, scratch_t_statistic
 
@@ -112,9 +113,25 @@ def test_identical_rows_tie_break_to_lower_subscript():
 
 def test_root_pick_ties_to_first_position_and_rejects_nan():
     assert _argmin(np.array([0.5, 0.25, 0.25])) == 1
-    for scores in ([0.5, float("nan"), 0.25], [0.25, 0.5, float("nan")]):
-        with pytest.raises(NonFiniteValue):
+    for scores in ([0.5, float("nan"), 0.25], [0.25, 0.5, float("nan")], [float("nan")] * 2):
+        with pytest.raises(NonFiniteValue, match="^an independence score is NaN$"):
             _argmin(np.array(scores))
+
+
+@pytest.mark.parametrize(
+    "scores, pick",
+    [([0.5, 0.25, 0.25], 2), ([0.5, float("nan"), 0.25], None), ([float("nan")] * 3, None)],
+    ids=["tie", "nan", "all-nan"],
+)
+def test_most_independent_ties_to_lowest_subscript_and_rejects_nan(monkeypatch, scores, pick):
+    # The scores arrive in ascending subscript order whatever the order of ``active``.
+    monkeypatch.setattr(independence, "_scores", lambda x: (np.array(scores), None))
+    ds = chain_dataset(50, np.random.default_rng(0))
+    if pick is None:
+        with pytest.raises(NonFiniteValue, match="^an independence score is NaN$"):
+            find_most_independent([3, 1, 2], ds)
+    else:
+        assert find_most_independent([3, 1, 2], ds) == pick
 
 
 @pytest.mark.parametrize("active, bad", [({0, 1, 2}, 0), ({-1, 0, 1}, -1), ({1, 2, 4}, 4)])
@@ -124,14 +141,6 @@ def test_subscripts_outside_one_to_p_raise(active, bad):
     for call in (t_profile, find_most_independent, lambda a, d: t_statistic(1, a, d)):
         with pytest.raises(DimensionError, match=rf"subscript {bad} is outside 1\.\.3"):
             call(active, ds)
-
-
-def test_select_minimum_rejects_nan_scores():
-    assert select_minimum({1: 0.5, 2: 0.25, 3: 0.25}) == 2
-    with pytest.raises(NonFiniteValue):
-        select_minimum({1: 0.5, 2: float("nan"), 3: 0.25})
-    with pytest.raises(NonFiniteValue):
-        select_minimum({1: float("nan"), 2: float("nan")})
 
 
 def test_score_nonnegative_and_order_invariant():
