@@ -1,24 +1,26 @@
 """Percentile bootstrap confidence intervals for edge strengths.
 
 The causal ordering is held fixed across resamples: each resample draws
-n observation columns with ``rng.integers(0, n, size=n)``, re-centers,
-and re-runs the least-squares strength estimation for the given order.
-Every coefficient that the order allows gets an empirical distribution, a
-percentile interval with linearly interpolated quantiles, and a
-significance flag set when the interval excludes zero. Degenerate
-resamples (a constant row, a singular design, or an overflow in a Gram
-entry that a regression reads) are redrawn, up to a cap.
+n observation columns, re-centers, and re-runs the least-squares strength
+estimation for the given order. Every coefficient that the order allows
+gets an empirical distribution, a percentile interval with linearly
+interpolated quantiles, and a significance flag set when the interval
+excludes zero. Degenerate resamples (a constant row, a singular design,
+or an overflow in a Gram entry that a regression reads) are redrawn; more
+than ``resamples`` redraws in total raise ``TooManySingularResamples``.
 
-Resamples run in chunks of ``CHUNK_VALUES`` gathered values (1 MB), each
-centered, multiplied out by one batched matmul and solved by the kernel of
-``estimate_strengths``; a chunk never draws more than are still missing.
+Resamples run in chunks of ``CHUNK_VALUES`` gathered values (1 MB). A chunk
+of m resamples draws its columns with one ``rng.integers(0, n, size=(m, n))``,
+the same stream as m draws of size n; it is centered, multiplied out by one
+batched matmul and solved by the kernel of ``estimate_strengths``. A chunk
+never draws more than are still missing.
 Seeded results match a one-resample-at-a-time loop to rounding, with the
 same draws, redraw count and errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +36,7 @@ CHUNK_VALUES = 2**17
 class EdgeInterval:
     """Interval for the edge ``x_j -> x_i`` (1-based subscripts).
 
-    ``significant`` holds exactly when 0 lies outside
+    ``significant`` is derived: it holds exactly when 0 lies outside
     ``[lower, upper]``. For percentile intervals the point estimate
     normally falls inside the interval as well.
     """
@@ -44,13 +46,12 @@ class EdgeInterval:
     point: float
     lower: float
     upper: float
-    significant: bool
+    significant: bool = field(init=False)
 
     def __post_init__(self):
         if self.lower > self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
-        if self.significant != (not self.lower <= 0.0 <= self.upper):
-            raise ValueError("significant flag contradicts the interval")
+        object.__setattr__(self, "significant", not self.lower <= 0.0 <= self.upper)
 
     def as_text(self, labels=None) -> str:
         src = labels[self.j - 1] if labels else f"x{self.j}"
@@ -75,21 +76,16 @@ def bootstrap_cis(
     rng: np.random.Generator,
     level: float = 0.99,
     resamples: int = 2000,
-    max_redraws: int | None = None,
 ) -> BootstrapReport:
     """Percentile intervals for all coefficients under a fixed ordering, resampled with ``rng``.
 
-    ``max_redraws`` bounds the total number of degenerate resamples tolerated before
-    ``TooManySingularResamples`` is raised; it defaults to ``resamples`` (at most a
-    doubling of work), and a negative cap raises ``ValueError``.
+    More than ``resamples`` degenerate resamples in total (at most a doubling of work)
+    raise ``TooManySingularResamples``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     if resamples < 100:
         raise ValueError("use at least 100 resamples")
-    cap = resamples if max_redraws is None else max_redraws
-    if cap < 0:
-        raise ValueError("max_redraws must not be negative")
     order = _as_order(order, data.p)
 
     # Raises for p > n, so every resample below has fewer predictors than n.
@@ -103,15 +99,15 @@ def bootstrap_cis(
     redraws = 0
     done = 0
     while done < resamples:
-        picks = [rng.integers(0, data.n, size=data.n) for _ in range(min(chunk, resamples - done))]
+        picks = rng.integers(0, data.n, size=(min(chunk, resamples - done), data.n))
         x = np.take(values, picks, axis=1).transpose(1, 0, 2)
         x = x - x.mean(axis=2, keepdims=True)
         b, _, ok = _ordered_least_squares(x)
         ok &= ~_constant_rows(x).any(axis=1)
         redraws += int(np.count_nonzero(~ok))
-        if redraws > cap:
+        if redraws > resamples:
             raise TooManySingularResamples(
-                f"{cap + 1} degenerate resamples exceeded the cap of {cap}"
+                f"{resamples + 1} degenerate resamples exceeded the cap of {resamples}"
             )
         draws[done : done + ok.sum()] = b[ok][:, rows, cols]
         done += ok.sum()
@@ -127,7 +123,6 @@ def bootstrap_cis(
             point=float(point.entries[i - 1, j - 1]),
             lower=float(lo),
             upper=float(hi),
-            significant=not (lo <= 0.0 <= hi),
         )
         for (i, j), lo, hi in zip(slots, lower, upper)
     )

@@ -77,9 +77,11 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
     """Estimate a causal order by repeated root extraction and residualization.
 
     Returns the order over original 1-based subscripts together with
-    the per-step score maps. Raises ``ZeroVarianceRow`` (a
-    ``ZeroVariance``) if a residual row collapses to a constant, which
-    signals exact collinearity in the input.
+    the per-step score maps. Raises ``ZeroVarianceRow`` (a ``ZeroVariance``)
+    if a residual row collapses to a constant after fewer than ``n - 1``
+    selections, which signals exact collinearity. After s selections the
+    centered residuals have rank at most n - 1 - s, so from then on (p > n)
+    every residual is rounding noise and a constant one is chance; it scores 0.
     """
     x = np.array(data.values)
     subs = list(range(1, data.p + 1))
@@ -88,7 +90,7 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
 
     while len(subs) > 1:
         constant = _center_rows(x)
-        if constant.any():
+        if constant.any() and len(order) < data.n - 1:
             sub = subs[int(np.argmax(constant))]
             why = "became constant after residualization (exact collinearity)"
             raise ZeroVarianceRow(sub, f"variable {data.labels[sub - 1]} {why}")

@@ -144,26 +144,26 @@ def box_summary(values) -> dict[str, float] | None:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One (p, n) cell's trials per estimator; summaries and failures are computed from them."""
+
     p: int
     n: int
     trials: dict[str, tuple[TrialResult, ...]]
-    summaries: dict[str, dict[str, dict[str, float] | None]]
-    failures: dict[str, int]
 
-
-def _summarize_cell(per_estimator: dict[str, tuple[TrialResult, ...]]):
-    summaries = {}
-    failures = {}
-    for name, results in per_estimator.items():
-        summaries[name] = {
-            "order_errors": box_summary(
-                r.order_errors for r in results if r.order_errors is not None
-            ),
-            "frobenius": box_summary(r.frobenius for r in results if r.frobenius is not None),
-            "seconds": box_summary(r.seconds for r in results),
+    @property
+    def summaries(self) -> dict[str, dict[str, dict[str, float] | None]]:
+        return {
+            name: {
+                "order_errors": box_summary(r.order_errors for r in rs if r.order_errors is not None),
+                "frobenius": box_summary(r.frobenius for r in rs if r.frobenius is not None),
+                "seconds": box_summary(r.seconds for r in rs),
+            }
+            for name, rs in self.trials.items()
         }
-        failures[name] = sum(1 for r in results if r.failed)
-    return summaries, failures
+
+    @property
+    def failures(self) -> dict[str, int]:
+        return {name: sum(r.failed for r in rs) for name, rs in self.trials.items()}
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,7 @@ class EvaluationReport:
         so that artifacts from identical seeds are byte-identical."""
         cells = []
         for cell in self.cells:
+            all_summaries, failures = cell.summaries, cell.failures
             estimators = {}
             for name in self.grid.estimators:
                 results = cell.trials[name]
@@ -186,12 +187,12 @@ class EvaluationReport:
                     if include_timings:
                         row["seconds"] = seconds
                     trials.append(row)
-                summaries = dict(cell.summaries[name])
+                summaries = all_summaries[name]
                 if not include_timings:
-                    summaries.pop("seconds", None)
+                    summaries.pop("seconds")
                 estimators[name] = {
                     "trials": trials,
-                    "failures": cell.failures[name],
+                    "failures": failures[name],
                     "summaries": summaries,
                 }
             cells.append({"p": cell.p, "n": cell.n, "estimators": estimators})
@@ -218,15 +219,15 @@ class EvaluationReport:
         """Plain-text medians per cell and estimator."""
         lines = [f"{'p':>4} {'n':>6} {'estimator':<12} {'med.order.err':>13} {'med.frobenius':>13} {'failures':>8}"]
         for cell in self.cells:
+            summaries, failures = cell.summaries, cell.failures
             for name in self.grid.estimators:
-                s = cell.summaries[name]
-                med_oe = s["order_errors"]
-                med_fr = s["frobenius"]
+                med_oe = summaries[name]["order_errors"]
+                med_fr = summaries[name]["frobenius"]
                 lines.append(
                     f"{cell.p:>4} {cell.n:>6} {name:<12} "
                     f"{med_oe['median'] if med_oe else float('nan'):>13.2f} "
                     f"{med_fr['median'] if med_fr else float('nan'):>13.4f} "
-                    f"{cell.failures[name]:>8}"
+                    f"{failures[name]:>8}"
                 )
         return "\n".join(lines)
 
@@ -294,6 +295,5 @@ def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
     for c, (p, n) in enumerate(cell_specs):
         cell_maps = trial_maps[c * grid.trials : (c + 1) * grid.trials]
         per_estimator = {name: tuple(tm[name] for tm in cell_maps) for name in grid.estimators}
-        summaries, failures = _summarize_cell(per_estimator)
-        cells.append(CellResult(p=p, n=n, trials=per_estimator, summaries=summaries, failures=failures))
+        cells.append(CellResult(p=p, n=n, trials=per_estimator))
     return EvaluationReport(grid=grid, cells=tuple(cells))

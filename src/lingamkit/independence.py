@@ -43,14 +43,15 @@ def _abs_corr(cov: np.ndarray, var_a: np.ndarray, var_b) -> np.ndarray:
 
 def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every row of a centered ``k x n`` block, and ``coef[i, j]``, the
-    ``simple_residual`` coefficient of row ``i`` on row ``j``."""
+    ``simple_residual`` coefficient of row ``i`` on row ``j`` (0 if row ``j`` centers to 0)."""
     k, n = x.shape
     xc = x - x.mean(axis=1, keepdims=True)
     gram = _gram(xc)
     if not np.isfinite(gram).all():
         raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
     var = np.diagonal(gram)
-    coef = gram / var
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(xc.any(axis=1), gram / var, 0.0)
     # Residual blocks of c candidates at once; the first slot holds g(x) until then.
     c = min(k, max(1, CHUNK_VALUES // (k * n)))
     buf = np.empty((c, k, n))

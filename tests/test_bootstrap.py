@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lingamkit import CausalOrder, bootstrap_cis, center
-from lingamkit.bootstrap import CHUNK_VALUES
+from lingamkit.bootstrap import CHUNK_VALUES, EdgeInterval
 from lingamkit.core import RCOND_THRESHOLD
 from lingamkit.errors import TooFewObservations, TooManySingularResamples, ZeroVariance
 
@@ -20,10 +20,10 @@ class Degenerate(Exception):
     pass
 
 
-def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
+def loop_bootstrap(data, order, level, resamples, rng):
     """One resample at a time: center, then one SVD-checked solve per variable.
     A resample is redrawn when a Gram entry overflows, except the last variable's
-    own sum of squares, which no regression reads.
+    own sum of squares, which no regression reads; more than ``resamples`` redraws raise.
 
     Returns ``(lower, upper, redraws)`` with the slots in the order the
     report lists its edges.
@@ -52,7 +52,7 @@ def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
                 coefs.update({(seq[pos], j): c for j, c in zip(seq[:pos], beta)})
         except (ZeroVariance, Degenerate):
             redraws += 1
-            if redraws > max_redraws:
+            if redraws > resamples:
                 raise TooManySingularResamples
             continue
         draws.append([coefs[slot] for slot in slots])
@@ -65,11 +65,15 @@ def loop_bootstrap(data, order, level, resamples, rng, max_redraws):
     )
 
 
-def assert_matches_loop(data, order, resamples, seed, max_redraws=None):
-    cap = resamples if max_redraws is None else max_redraws
+def half_degenerate_pair():
+    """n = 2: a resample that draws the same column twice is constant, so half are redrawn."""
+    return center([[1.0, -1.0], [0.5, 2.0]])
+
+
+def assert_matches_loop(data, order, resamples, seed):
     rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    report = bootstrap_cis(data, order, rng, 0.95, resamples, max_redraws)
-    lower, upper, redraws = loop_bootstrap(data, order, 0.95, resamples, loop_rng, cap)
+    report = bootstrap_cis(data, order, rng, 0.95, resamples)
+    lower, upper, redraws = loop_bootstrap(data, order, 0.95, resamples, loop_rng)
     assert report.singular_redraws == redraws
     got_lower = np.array([e.lower for e in report.edges])
     got_upper = np.array([e.upper for e in report.edges])
@@ -122,14 +126,15 @@ class TestMatchesPerResampleLoop:
         assert report.singular_redraws == 0
 
     def test_cap_trips_exactly_where_the_loop_does(self):
-        ds = center(np.random.default_rng(3).standard_normal((2, 3)))
-        order = CausalOrder((1, 2))
-        redraws = assert_matches_loop(ds, order, 100, seed=9).singular_redraws
-        assert_matches_loop(ds, order, 100, seed=9, max_redraws=redraws)
-        with pytest.raises(TooManySingularResamples):
-            bootstrap_cis(
-                ds, order, np.random.default_rng(9), resamples=100, max_redraws=redraws - 1
-            )
+        # The cap is ``resamples`` redraws: seeds 0, 1 and 3 pass it, 2, 4 and 5 end below it.
+        ds, order = half_degenerate_pair(), CausalOrder((1, 2))
+        for seed in (0, 1, 3):
+            with pytest.raises(TooManySingularResamples):
+                bootstrap_cis(ds, order, np.random.default_rng(seed), resamples=100)
+            with pytest.raises(TooManySingularResamples):
+                loop_bootstrap(ds, order, 0.95, 100, np.random.default_rng(seed))
+        for seed, redraws in ((2, 97), (4, 88), (5, 68)):
+            assert assert_matches_loop(ds, order, 100, seed).singular_redraws == redraws
 
 
 class TestDegenerateDistribution:
@@ -193,6 +198,12 @@ class TestIntervalProperties:
             assert abs(b.lower - a.lower) < 0.1 * width
             assert abs(b.upper - a.upper) < 0.1 * width
 
+    def test_significance_is_derived_from_the_interval(self):
+        assert EdgeInterval(i=2, j=1, point=0.5, lower=0.1, upper=0.9).significant
+        assert not EdgeInterval(i=2, j=1, point=0.0, lower=-0.1, upper=0.0).significant
+        with pytest.raises(TypeError):
+            EdgeInterval(i=2, j=1, point=0.5, lower=0.1, upper=0.9, significant=False)
+
     def test_deterministic_given_rng_seed(self):
         ds = chain_dataset(300, np.random.default_rng(22))
         r1 = bootstrap_cis(ds, (1, 2, 3), resamples=150, rng=np.random.default_rng(8))
@@ -208,11 +219,6 @@ class TestValidationAndFailure:
         with pytest.raises(ValueError):
             bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), resamples=50)
 
-    def test_rejects_negative_redraw_cap(self):
-        ds = chain_dataset(100, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="max_redraws must not be negative"):
-            bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), resamples=100, max_redraws=-5)
-
     def test_propagates_too_few_observations(self):
         rng = np.random.default_rng(1)
         ds = center(rng.uniform(-1, 1, size=(5, 4)))
@@ -220,14 +226,10 @@ class TestValidationAndFailure:
             bootstrap_cis(ds, CausalOrder.identity(5), np.random.default_rng(0))
 
     def test_singular_resample_cap(self):
-        # Tiny n makes degenerate resamples (all-equal columns) likely;
-        # with a zero budget the cap must trip for this seed.
-        rng = np.random.default_rng(2)
-        ds = center(rng.standard_normal((2, 3)))
-        with pytest.raises(TooManySingularResamples):
-            bootstrap_cis(
-                ds, (1, 2), resamples=100, rng=np.random.default_rng(123), max_redraws=0
-            )
+        # With n = 2 half the resamples are degenerate; for this seed more than
+        # ``resamples`` of them come before the hundredth good one.
+        with pytest.raises(TooManySingularResamples, match="101 degenerate resamples exceeded the cap of 100"):
+            bootstrap_cis(half_degenerate_pair(), (1, 2), resamples=100, rng=np.random.default_rng(0))
 
     def test_singular_resamples_counted(self):
         rng = np.random.default_rng(3)

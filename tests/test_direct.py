@@ -89,6 +89,13 @@ class TestEstimateOrder:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
             estimate_order(center(x))
 
+    def test_underflowing_scores_raise_non_finite(self):
+        # Finite, non-constant data whose squared deviations underflow to 0 must fail,
+        # not score every candidate 0 as a residual that centers to 0 does.
+        x = np.random.default_rng(0).standard_normal((3, 50)) * 1e-170
+        with pytest.raises(NonFiniteValue):
+            estimate_order(center(x))
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -113,6 +120,14 @@ class TestEstimateOrder:
         order, diagnostics = estimate_order(ds)
         assert sorted(order.order) == list(range(1, 21))
         assert len(diagnostics) == 19
+
+    @pytest.mark.parametrize("p, n", [(4, 3), (5, 3), (6, 3), (8, 4)])
+    def test_no_false_collinearity_once_residuals_are_rounding_noise(self, p, n):
+        # From n - 1 selections on, every centered residual is rounding noise, and
+        # one that comes out exactly constant is chance: it must not raise.
+        for seed in range(100):
+            ds = center(np.random.default_rng(seed).standard_normal((p, n)))
+            assert len(estimate_order(ds)[1]) == p - 1
 
 
 class TestMatchesPairLoop:
