@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, direct
 from .bootstrap import bootstrap_cis
-from .core import CausalOrder, Dataset, _field_dict, center
+from .core import CausalOrder, Dataset, _field_dict, _integer
 from .errors import (
     DimensionMismatch,
     LingamError,
@@ -55,7 +55,9 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     By default rows are observations and columns are variables (labels
     from the header when present); ``variables_as_rows`` flips the
     orientation, in which case a header row is discarded and labels are
-    generated. Completely empty records are skipped.
+    generated. Completely empty records are skipped. Header labels and
+    cells have surrounding whitespace stripped by one rule, ``str.strip()``,
+    which ``np.loadtxt`` also follows.
 
     The table is parsed with one ``np.loadtxt`` call. Input it does not
     accept as a finite table goes to the per-cell parser, which reports
@@ -64,13 +66,12 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     """
     head_line, head, table = 0, None, None
     try:
-        if not _has_separator(path):
-            with open(path, newline="", encoding="utf-8") as fh:
-                if header:
-                    reader = csv.reader(fh)
-                    head = next(row for row in reader if row)
-                    head_line = reader.line_num
-                table = _loadtxt_table(fh)
+        with open(path, newline="", encoding="utf-8") as fh:
+            if header:
+                reader = csv.reader(fh)
+                head = next(row for row in reader if row)
+                head_line = reader.line_num
+            table = _loadtxt_table(fh)
     except (ValueError, csv.Error, StopIteration):
         table = None
     if table is None:
@@ -80,15 +81,7 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     values = table if variables_as_rows else table.T
     if labels is not None and len(labels) != values.shape[0]:
         raise RaggedRows(head_line, values.shape[0], len(labels))
-    return center(values, labels=labels)
-
-
-def _has_separator(path) -> bool:
-    """Whether the file holds one of the four ASCII information separators:
-    np.loadtxt strips those around a number, float() does not."""
-    with open(path, "rb") as fh:
-        chunks = iter(lambda: fh.read(2**20), b"")
-        return any(s in chunk for chunk in chunks for s in b"\x1c\x1d\x1e\x1f")
+    return Dataset(values, labels)
 
 
 def _loadtxt_table(fh) -> np.ndarray | None:
@@ -124,7 +117,7 @@ def _located_table(path, header: bool) -> tuple[int, list[str] | None, np.ndarra
             raise RaggedRows(line, width, len(row))
         for c, cell in enumerate(row):
             try:
-                value = float(cell)
+                value = float(cell.strip())
             except ValueError:
                 raise NonNumericCell(line, c + 1, cell) from None
             if not np.isfinite(value):
@@ -167,13 +160,13 @@ class ModelDocument:
     The fields, in order, are the document's keys after ``schema``."""
 
     labels: tuple[str, ...] = _read(tuple)
-    order: tuple[int, ...] = _read(lambda subs: tuple(int(s) for s in subs))
+    order: tuple[int, ...] = _read(lambda subs: tuple(_integer("subscript", s) for s in subs))
     strengths: tuple[tuple[float, ...], ...] = _read(_float_rows)
     diagnostics: tuple[tuple[tuple[int, float], ...], ...] = _read(
-        lambda steps: tuple(tuple((int(s), float(t)) for s, t in step) for step in steps)
+        lambda steps: tuple(tuple((_integer("subscript", s), float(t)) for s, t in st) for st in steps)
     )
     estimator: str = _read(_of(str))
-    seed: int = _read(int)
+    seed: int = _read(lambda value: _integer("seed", value))
     version: str = _read(_of(str))
     pruned: tuple[tuple[float, ...], ...] | None = _read(_float_rows, None)
     converged: bool | None = _read(_of(bool), None)
@@ -197,9 +190,10 @@ class ModelDocument:
 
 
 def _write_json(path, payload: dict) -> None:
+    """Write strict JSON: a NaN or infinity raises ``ValueError`` before the file is opened."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _print_edges(matrix, labels) -> None:

@@ -9,8 +9,8 @@ Conventions used throughout the package:
   meant for numpy indexing.
 * A ``Dataset`` is always centered: construction centers its own
   C-ordered copy of the rows by the one rule of ``_center_rows``, so
-  estimators take any ``Dataset`` as centered data. ``center()`` is the
-  same construction with default labels.
+  estimators take any ``Dataset`` as centered data. Its labels default
+  to ``x1 .. xp``, and ``center`` is another name for ``Dataset``.
 * Sample moments use the 1/n divisor. Regression coefficients are
   ratios of moments, so estimates do not depend on this choice; it is
   fixed here so that every statistic in the package is reproducible to
@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -88,6 +89,15 @@ def _field_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+def _integer(field: str, value) -> int:
+    """``value`` as an int if it is a whole number such as 4 or 4.0, else a
+    ``ValueError`` naming ``field``. Bools, NaN and infinities are refused."""
+    whole = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _subscripts(subs, p: int) -> list[int]:
     """Distinct 1-based subscripts, ascending; one outside ``1..p`` raises ``DimensionError``."""
     subs = sorted(set(int(s) for s in subs))
@@ -101,16 +111,18 @@ class Dataset:
     """A centered ``p x n`` observation matrix, one variable per row, held C-ordered.
 
     Centers a C-ordered copy of ``values`` by ``_center_rows``, so the caller's array
-    is untouched. Rejects NaN or infinite entries and constant rows.
+    is untouched; rows within ``CENTERED_TOL`` of zero keep their bits, so centering is
+    idempotent. Rejects NaN or infinite entries and constant rows. ``labels`` default
+    to ``x1 .. xp``.
     """
 
     values: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float, order="C")
         _require_matrix(arr)
-        labels = tuple(self.labels)
+        labels = default_labels(len(arr)) if self.labels is None else tuple(self.labels)
         if len(labels) != len(arr):
             raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
         constant = _center_rows(arr)
@@ -137,30 +149,24 @@ def default_labels(p: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, p + 1))
 
 
-def center(raw, labels=None) -> Dataset:
-    """The ``Dataset`` of ``raw``, labelled ``x1 .. xp`` unless ``labels`` are given.
-
-    ``Dataset`` subtracts each row's mean, realizing the zero-mean model assumption;
-    rows within ``CENTERED_TOL`` of zero keep their bits, so ``center`` is idempotent.
-    """
-    values = np.asarray(raw, dtype=float)
-    if labels is None:
-        # A non-matrix gets no labels, so that Dataset reports its shape.
-        labels = default_labels(len(values) if values.ndim == 2 else 0)
-    return Dataset(values, tuple(labels))
+# Centering realizes the zero-mean model assumption; constructing a ``Dataset`` does it.
+center = Dataset
 
 
 @dataclass(frozen=True)
 class CausalOrder:
     """An ordered tuple of 1-based variable subscripts, first cause first.
 
-    Must be a permutation of ``1..p``.
+    Must be a permutation of ``1..p`` given as whole numbers.
     """
 
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(int(s) for s in self.order)
+        try:
+            order = tuple(_integer("subscript", s) for s in self.order)
+        except ValueError as exc:
+            raise InvalidPermutation(str(exc)) from None
         p = len(order)
         if sorted(order) != list(range(1, p + 1)):
             raise InvalidPermutation(f"{order} is not a permutation of 1..{p}")

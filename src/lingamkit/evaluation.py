@@ -29,13 +29,12 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, fields
 from multiprocessing import get_context
-from numbers import Real
 from time import perf_counter, sleep
 
 import numpy as np
 
 from . import direct
-from .core import ConnectionMatrix, _as_order, _field_dict, permute_matrix
+from .core import ConnectionMatrix, _as_order, _field_dict, _integer, permute_matrix
 from .errors import DimensionMismatch, LingamError
 from .ica import ica_lingam_fit
 from .synth import check_size, generate
@@ -97,14 +96,6 @@ class BenchmarkGrid:
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
         check_size(min(self.p_values), min(self.n_values))
-
-
-def _integer(field: str, value) -> int:
-    """``value`` as an int if it is a whole number such as 4 or 4.0, else a
-    ``ValueError`` naming ``field``. Bools, NaN and infinities are refused."""
-    if not isinstance(value, Real) or isinstance(value, bool) or value % 1:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,11 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(gram).all():
         raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
     var = np.diagonal(gram)
+    varies = xc.any(axis=1)
+    if (var[varies] == 0.0).any():
+        raise NonFiniteValue("Gram matrix underflows: the data is too small in magnitude")
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(xc.any(axis=1), gram / var, 0.0)
+        coef = np.where(varies, gram / var, 0.0)
     # Residual blocks of c candidates at once; the first slot holds g(x) until then.
     c = min(k, max(1, CHUNK_VALUES // (k * n)))
     buf = np.empty((c, k, n))
@@ -100,9 +103,11 @@ def t_profile(active, data: Dataset) -> dict[int, float]:
 
 
 def _argmin(scores: np.ndarray) -> int:
-    """Position of the lowest score, ties to the first; a NaN score raises ``NonFiniteValue``."""
+    """Position of the lowest score, ties to the first; a NaN or inf score raises ``NonFiniteValue``."""
     if np.isnan(scores).any():
         raise NonFiniteValue("an independence score is NaN")
+    if np.isinf(scores).any():
+        raise NonFiniteValue("an independence score is infinite")
     return int(np.argmin(scores))
 
 

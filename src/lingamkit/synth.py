@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CausalOrder, ConnectionMatrix, Dataset, center, default_labels, permute_matrix
+from .core import CausalOrder, ConnectionMatrix, Dataset, permute_matrix
 
 NETWORKS = ("dense", "sparse", "random-choice")
 
@@ -172,5 +172,4 @@ def generate(
 
     perm = rng.permutation(p)
     shuffle = CausalOrder(tuple(int(s) + 1 for s in perm))
-    dataset = center(x[perm], labels=default_labels(p))
-    return dataset, replace(model, shuffle=shuffle)
+    return Dataset(x[perm]), replace(model, shuffle=shuffle)

@@ -189,11 +189,14 @@ def loop_scores(x):
 
 def loop_pick(profile):
     """The lowest-scoring key by a plain scan in ascending key order, so a tie goes
-    to the lowest subscript; a NaN score raises the library's ``NonFiniteValue``."""
+    to the lowest subscript; a NaN score, else an infinite one, raises the library's
+    ``NonFiniteValue``."""
+    if any(math.isnan(t) for t in profile.values()):
+        raise NonFiniteValue("an independence score is NaN")
     pick = None
     for j in sorted(profile):
-        if math.isnan(profile[j]):
-            raise NonFiniteValue("an independence score is NaN")
+        if math.isinf(profile[j]):
+            raise NonFiniteValue("an independence score is infinite")
         if pick is None or profile[j] < profile[pick]:
             pick = j
     return pick

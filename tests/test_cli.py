@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lingamkit import Dataset, __version__, center, direct, evaluation, generate
+from lingamkit import Dataset, __version__, center, cli, direct, evaluation, generate
 from lingamkit.cli import ModelDocument, load_csv, main, write_dataset_csv
 from lingamkit.errors import NonNumericCell, ParseError, RaggedRows
 
@@ -87,8 +87,6 @@ PARSE_ERRORS = {
     "overflow": ("a,b\n1,2\n1e400,4\n", {}, (NonNumericCell, 3, 1)),
     "empty cell": ("a,b\n1,2\n3,\n", {}, (NonNumericCell, 3, 2)),
     "trailing comma": ("a,b\n1,2,\n3,4,\n", {}, (NonNumericCell, 2, 3)),
-    "separator char": ("a,b\n1,2\n\x1c3,4\n", {}, (NonNumericCell, 3, 1)),
-    "separator in last line": ("a,b\n1,2\n3,4\x1f\n", {}, (NonNumericCell, 3, 2)),
     "ragged row": ("a,b\n1,2\n3\n", {}, (RaggedRows, 3, 1)),
     "whitespace line": ("a,b\n1,2\n  \n3,4\n", {}, (RaggedRows, 3, 1)),
     "header only": ("a,b\n", {}, (ParseError, 1, 1)),
@@ -103,6 +101,8 @@ PARSE_VALUES = {
     "underscores": ("a,b\n1_000,4\n2,5\n", {}, ("a", "b"), [[1000, 2], [4, 5]]),
     "blank lines": ("\na,b\n\n1,4\n\r\n2,5\n\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "separator in header": ("a\x1c,b\n1,4\n2,5\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
+    "separator char": ("a,b\n1,2\n\x1c3,4\n", {}, ("a", "b"), [[1, 3], [2, 4]]),
+    "separator in last line": ("a,b\n1,2\n3,4\x1f\n", {}, ("a", "b"), [[1, 3], [2, 4]]),
     "lone cr line": ("a,b\n1,4\n\r2,5\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "cr endings": ("a,b\r1,4\r2,5\r", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "padded cells": (" a , b\n 1 ,\t4\n2,5 \n", {}, ("a", "b"), [[1, 2], [4, 5]]),
@@ -111,6 +111,14 @@ PARSE_VALUES = {
         "a,b,c\n1,2,3\n4,5,9\n", {"variables_as_rows": True}, None, [[1, 2, 3], [4, 5, 9]]
     ),
 }
+
+
+# Every str.isspace() character, the C0 controls, U+007F..U+00A0 and four zero-width
+# or formerly-space characters; not \n or \r, which end a record instead.
+WHITESPACE_PROBES = sorted(
+    ({chr(c) for c in (*range(0x20), *range(0x7F, 0xA1), 0x180E, 0x200B, 0x2060, 0xFEFF)}
+     | {chr(c) for c in range(0x3001) if chr(c).isspace()}) - {"\n", "\r"}
+)
 
 
 class TestParseParity:
@@ -129,9 +137,30 @@ class TestParseParity:
         text, kwargs, labels, raw = PARSE_VALUES[name]
         path = write_text(tmp_path / "d.csv", text)
         ds = load_csv(path, **kwargs)
-        expected = center(np.array(raw, dtype=float), labels=labels)
+        expected = Dataset(np.array(raw, dtype=float), labels)
         assert ds.labels == expected.labels
         assert np.array_equal(ds.values, expected.values)
+
+    @pytest.mark.parametrize(
+        "placement", ["{c}3", "3{c}", "{c}3{c}", "3{c}5"], ids=["before", "after", "around", "inside"]
+    )
+    def test_one_whitespace_rule(self, tmp_path, placement):
+        # load_csv, whose loadtxt path needs no check of its own for these characters, and
+        # the per-cell parser alone agree on a cell holding any of them.
+        def outcome(build):
+            try:
+                data = build()
+            except ParseError as exc:
+                return type(exc), exc.line, exc.column
+            return data.labels, data.values.tolist()
+
+        def per_cell():
+            _, head, table = cli._located_table(path, True)
+            return Dataset(table.T, tuple(cell.strip() for cell in head))
+
+        for c in WHITESPACE_PROBES:
+            path = write_text(tmp_path / "d.csv", "a,b\n1,2\n" + placement.format(c=c) + ",4\n")
+            assert outcome(lambda: load_csv(path)) == outcome(per_cell), repr(c)
 
     @pytest.mark.parametrize("quoted", [False, True])
     def test_header_width_reports_header_line(self, tmp_path, quoted):
@@ -437,6 +466,20 @@ class TestCommands:
         assert code == 1
         assert "SchemaVersionError" in capsys.readouterr().err
 
+    def test_fit_with_infinite_scores_fails_without_writing(self, tmp_path, capsys):
+        # At this scale the product of two variances underflows, so a correlation is inf.
+        data = center(np.random.default_rng(0).standard_normal((3, 50)) * 1e-90)
+        write_dataset_csv(tmp_path / "x.csv", data)
+        assert run_cli("fit", "--input", tmp_path / "x.csv", "--output", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err == "NonFiniteValue: an independence score is infinite\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_json_with_nan_or_infinity_is_refused_before_the_file_is_opened(self, tmp_path):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                cli._write_json(tmp_path / "d.json", {"score": [1.0, bad]})
+            assert not (tmp_path / "d.json").exists()
+
     def test_fit_p_above_n_counts_the_last_variables_predecessors(self, tmp_path, capsys):
         run_cli(
             "simulate", "--p", 30, "--n", 12, "--network", "dense", "--seed", 2,
@@ -518,7 +561,8 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "field, value",
         [("order", [None, 1, 2]), ("diagnostics", [[1]]), ("seed", 1e400), ("estimator", 5),
-         ("strengths", None), ("converged", "yes")],
+         ("strengths", None), ("converged", "yes"), ("order", [2.7, 3.2, 1.9]),
+         ("order", ["2", "3", "1"]), ("seed", True), ("seed", 2.9), ("diagnostics", [[[1.5, 0.1]]])],
     )
     def test_model_field_of_the_wrong_type_is_named(self, tmp_path, capsys, field, value):
         data = TestCommands().write_chain_csv(tmp_path, n=200)
@@ -604,6 +648,14 @@ def test_document_key_order(artifacts, name):
     assert list(doc) == top
     for path, keys in nested.items():
         assert list(functools.reduce(operator.getitem, path, doc)) == keys
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_KEYS))
+def test_documents_are_strict_json(artifacts, name):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    json.loads((artifacts / f"{name}.json").read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def test_report_csv_column_order(artifacts):

@@ -71,6 +71,10 @@ class TestCenter:
         ds = center(np.arange(6.0).reshape(2, 3))
         assert ds.labels == ("x1", "x2")
 
+    def test_center_is_the_dataset_constructor(self):
+        assert center is Dataset
+        assert Dataset(np.arange(6.0).reshape(2, 3)).labels == ("x1", "x2")
+
 
 class TestDataset:
     def test_values_are_read_only(self):
@@ -282,6 +286,20 @@ class TestCausalOrder:
             CausalOrder((0, 1, 2))
         with pytest.raises(InvalidPermutation):
             CausalOrder((1, 1, 3))
+
+    @pytest.mark.parametrize(
+        "order, shown",
+        [((2.7, 1.2), "2.7"), (("2", "1"), "'2'"), ((True, 2), "True"), ((2, np.nan), "nan"),
+         ((2, np.float64(np.inf)), r"np\.float64\(inf\)")],
+        ids=["fraction", "string", "bool", "nan", "numpy-inf"],
+    )
+    def test_rejects_non_whole_subscripts_by_name(self, order, shown):
+        # int() would truncate 2.7 and 1.2 to the permutation (2, 1).
+        with pytest.raises(InvalidPermutation, match=f"^subscript must be an integer, got {shown}$"):
+            CausalOrder(order)
+
+    def test_accepts_whole_numbers_of_any_type(self):
+        assert CausalOrder((2.0, np.int64(1), np.float64(3.0))).order == (2, 1, 3)
 
     def test_inverse(self):
         order = CausalOrder((3, 1, 2))

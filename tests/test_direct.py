@@ -93,7 +93,14 @@ class TestEstimateOrder:
         # Finite, non-constant data whose squared deviations underflow to 0 must fail,
         # not score every candidate 0 as a residual that centers to 0 does.
         x = np.random.default_rng(0).standard_normal((3, 50)) * 1e-170
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="underflows"):
+            estimate_order(center(x))
+
+    def test_infinite_scores_raise_non_finite(self):
+        # The variances are finite, but their product underflows to 0, so a
+        # correlation is inf; the order must not be picked among inf scores.
+        x = np.random.default_rng(0).standard_normal((3, 50)) * 1e-90
+        with pytest.raises(NonFiniteValue, match="^an independence score is infinite$"):
             estimate_order(center(x))
 
     @pytest.mark.parametrize(
@@ -179,6 +186,7 @@ class TestMatchesPairLoop:
             u = np.random.default_rng(seed).standard_normal(5)
             cases += [np.vstack([u, a, 2.0 * a]), np.vstack([a, u, 3.0 * a, u - a])]
         cases.append(np.random.default_rng(3).standard_normal((4, 50)) * 1e160)
+        cases.append(np.random.default_rng(0).standard_normal((3, 50)) * 1e-90)
         raised = 0
         for values in cases:
             data = center(values)

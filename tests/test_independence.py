@@ -113,8 +113,15 @@ def test_identical_rows_tie_break_to_lower_subscript():
 
 def test_root_pick_ties_to_first_position_and_rejects_nan():
     assert _argmin(np.array([0.5, 0.25, 0.25])) == 1
-    for scores in ([0.5, float("nan"), 0.25], [0.25, 0.5, float("nan")], [float("nan")] * 2):
+    for scores in ([0.5, float("nan"), 0.25], [0.25, 0.5, float("nan")], [float("nan")] * 2,
+                   [float("inf"), float("nan")]):
         with pytest.raises(NonFiniteValue, match="^an independence score is NaN$"):
+            _argmin(np.array(scores))
+
+
+def test_root_pick_rejects_infinite_scores():
+    for scores in ([0.5, float("inf"), 0.25], [-float("inf"), 0.5], [float("inf")] * 2):
+        with pytest.raises(NonFiniteValue, match="^an independence score is infinite$"):
             _argmin(np.array(scores))
 
 
