@@ -9,13 +9,14 @@ excludes zero. Degenerate resamples (a constant row, a singular design,
 or an overflow in a Gram entry that a regression reads) are redrawn; more
 than ``resamples`` redraws in total raise ``TooManySingularResamples``.
 
-Resamples run in chunks of ``CHUNK_VALUES`` gathered values (1 MB). A chunk
-of m resamples draws its columns with one ``rng.integers(0, n, size=(m, n))``,
-the same stream as m draws of size n; it is centered, multiplied out by one
-batched matmul and solved by the kernel of ``estimate_strengths``. A chunk
-never draws more than are still missing.
-Seeded results match a one-resample-at-a-time loop to rounding, with the
-same draws, redraw count and errors.
+Two sizes come from the one constant ``CHUNK_VALUES`` (2**17 values, 1 MB). A
+gather chunk of ``CHUNK_VALUES // (p*n)`` resamples draws its columns with one
+``rng.integers(0, n, size=(m, n))``, the same stream as m draws of size n, is
+centered in place and multiplied out by one batched matmul. A solve batch of up
+to ``CHUNK_VALUES // (p*p)`` Gram matrices goes through the kernel of
+``estimate_strengths`` in one SVD and p - 1 solves. A batch never draws more
+than are still missing, so seeded results match a one-resample-at-a-time loop
+to rounding, with the same draws, redraw count and errors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ``center`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import Dataset, _as_order, _constant_rows, center  # noqa: F401
+from .core import Dataset, _as_order, _constant_rows, _gram, _integer, center  # noqa: F401
 from .direct import _ordered_least_squares, estimate_strengths
 from .errors import TooManySingularResamples
 
@@ -84,6 +85,7 @@ def bootstrap_cis(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
+    resamples = _integer("resamples", resamples)
     if resamples < 100:
         raise ValueError("use at least 100 resamples")
     order = _as_order(order, data.p)
@@ -94,23 +96,30 @@ def bootstrap_cis(
     rows, cols = np.tril_indices(data.p, -1)
     slots = [(order.order[r], order.order[c]) for r, c in zip(rows, cols)]
     chunk = max(1, CHUNK_VALUES // (data.p * data.n))
+    batch = max(chunk, CHUNK_VALUES // (data.p * data.p))
 
     draws = np.empty((resamples, len(slots)))
     redraws = 0
     done = 0
     while done < resamples:
-        picks = rng.integers(0, data.n, size=(min(chunk, resamples - done), data.n))
-        x = np.take(values, picks, axis=1).transpose(1, 0, 2)
-        x = x - x.mean(axis=2, keepdims=True)
-        b, _, ok = _ordered_least_squares(x)
-        ok &= ~_constant_rows(x).any(axis=1)
-        redraws += int(np.count_nonzero(~ok))
+        m = min(batch, resamples - done)
+        gram, ok = np.empty((m, data.p, data.p)), np.empty(m, dtype=bool)
+        for start in range(0, m, chunk):
+            picks = rng.integers(0, data.n, size=(min(chunk, m - start), data.n))
+            x = np.take(values, picks, axis=1).transpose(1, 0, 2)
+            x -= x.mean(axis=2, keepdims=True)
+            part = slice(start, start + len(picks))
+            gram[part], ok[part] = _gram(x), ~_constant_rows(x).any(axis=1)
+        b, _, solved = _ordered_least_squares(gram)
+        ok &= solved
+        kept = int(ok.sum())
+        redraws += m - kept
         if redraws > resamples:
             raise TooManySingularResamples(
                 f"{resamples + 1} degenerate resamples exceeded the cap of {resamples}"
             )
-        draws[done : done + ok.sum()] = b[ok][:, rows, cols]
-        done += ok.sum()
+        draws[done : done + kept] = b[ok][:, rows, cols]
+        done += kept
 
     alpha = (1.0 - level) / 2.0
     lower = np.quantile(draws, alpha, axis=0, method="linear")

@@ -89,18 +89,19 @@ def _field_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _integer(field: str, value) -> int:
-    """``value`` as an int if it is a whole number such as 4 or 4.0, else a
-    ``ValueError`` naming ``field``. Bools, NaN and infinities are refused."""
+def _integer(field: str, value, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int if it is a whole number such as 4 or 4.0, else an ``error``
+    naming ``field``. Bools, NaN and infinities are refused."""
     whole = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
     if isinstance(value, bool) or not whole:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+        raise error(f"{field} must be an integer, got {value!r}")
     return int(value)
 
 
 def _subscripts(subs, p: int) -> list[int]:
-    """Distinct 1-based subscripts, ascending; one outside ``1..p`` raises ``DimensionError``."""
-    subs = sorted(set(int(s) for s in subs))
+    """Distinct 1-based subscripts, ascending; one that is not a whole number or lies
+    outside ``1..p`` raises ``DimensionError``."""
+    subs = sorted(set(_integer("subscript", s, DimensionError) for s in subs))
     if subs and not 1 <= subs[0] <= subs[-1] <= p:
         raise DimensionError(f"subscript {subs[0] if subs[0] < 1 else subs[-1]} is outside 1..{p}")
     return subs
@@ -163,10 +164,7 @@ class CausalOrder:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            order = tuple(_integer("subscript", s) for s in self.order)
-        except ValueError as exc:
-            raise InvalidPermutation(str(exc)) from None
+        order = tuple(_integer("subscript", s, InvalidPermutation) for s in self.order)
         p = len(order)
         if sorted(order) != list(range(1, p + 1)):
             raise InvalidPermutation(f"{order} is not a permutation of 1..{p}")

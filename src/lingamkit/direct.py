@@ -104,18 +104,18 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
     return CausalOrder(tuple(order)), tuple(diagnostics)
 
 
-def _ordered_least_squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Regress each row on all earlier rows for a ``(c, k, n)`` stack of centered data
-    in causal order. Returns ``(b, finite, ok)``: ``b[m, pos, :pos]`` holds row ``pos``'s
-    coefficients; ``finite[m]`` is false when a Gram entry that a regression reads
-    overflows (that matrix is zeroed), ``ok[m]`` when that or a singular design leaves
-    ``b[m]`` zero. By Cauchy interlacing one SVD of the largest design tests all smaller
-    ones; solves without square roots keep exactly representable results exact. The
-    last row's own sum of squares is never read and may be inf. Each matrix is first
-    scaled by a power of two to a largest read entry below 1: that is exact, changes no
-    coefficient and keeps the SVD of data near the float limit finite.
+def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regress each variable on all earlier ones for a ``(c, k, k)`` stack of Gram matrices
+    of centered data in causal order. Returns ``(b, finite, ok)``: ``b[m, pos, :pos]``
+    holds row ``pos``'s coefficients; ``finite[m]`` is false when an entry that a
+    regression reads overflows (that member is zeroed in place), ``ok[m]`` when that or a
+    singular design leaves ``b[m]`` zero. By Cauchy interlacing one SVD of the largest
+    design tests all smaller ones; solves without square roots keep exactly representable
+    results exact. The last variable's own sum of squares is never read and may be inf.
+    Each member is first scaled by a power of two to a largest read entry below 1 (exact,
+    and it keeps the SVD of data near the float limit finite); every step treats each
+    member on its own, so its result does not depend on the rest of the stack.
     """
-    gram = _gram(x)
     finite = np.isfinite(gram[:, :, :-1]).all(axis=(1, 2))
     gram[~finite] = 0.0
     b = np.zeros(gram.shape)
@@ -133,7 +133,7 @@ def _ordered_least_squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _regress(x: np.ndarray) -> np.ndarray:
     """``_ordered_least_squares`` on one ``k x n`` block, raising as ``multi_least_squares``."""
-    b, finite, ok = _ordered_least_squares(x[None])
+    b, finite, ok = _ordered_least_squares(_gram(x[None]))
     if not finite[0]:
         raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
     if not ok[0]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lingamkit import CausalOrder, bootstrap_cis, center
+from lingamkit import CausalOrder, bootstrap, bootstrap_cis, center
 from lingamkit.bootstrap import CHUNK_VALUES, EdgeInterval
 from lingamkit.core import RCOND_THRESHOLD
 from lingamkit.errors import TooFewObservations, TooManySingularResamples, ZeroVariance
@@ -137,6 +137,35 @@ class TestMatchesPerResampleLoop:
             assert assert_matches_loop(ds, order, 100, seed).singular_redraws == redraws
 
 
+class TestMatchesPerResampleLoopInSmallBatches(TestMatchesPerResampleLoop):
+    """The cases above with ``CHUNK_VALUES`` at 256, so one call spans several solve
+    batches of ``256 // (p*p)`` resamples, each gathered in chunks of ``256 // (p*n)``
+    (at least one). The chunk sizes the inherited cases assert are the default's."""
+
+    @pytest.fixture(autouse=True)
+    def batch_sizes(self, monkeypatch):
+        sizes = []
+        solve = bootstrap._ordered_least_squares
+
+        def recording(gram):
+            sizes.append(len(gram))
+            return solve(gram)
+
+        monkeypatch.setattr(bootstrap, "CHUNK_VALUES", 256)
+        monkeypatch.setattr(bootstrap, "_ordered_least_squares", recording)
+        return sizes
+
+    def test_redraws_before_the_last_batch(self, batch_sizes):
+        # p = 2, n = 3: batches of 64 resamples, gathered in chunks of 42 and 22.
+        ds = center(np.random.default_rng(100).standard_normal((2, 3)))
+        report = assert_matches_loop(ds, CausalOrder.identity(2), 100, seed=0)
+        assert len(batch_sizes) >= 3 and batch_sizes[0] == 64
+        # The last batch draws exactly what is missing, so every resample drawn
+        # beyond 100 before it was a redraw.
+        assert sum(batch_sizes) - 100 > 0
+        assert report.singular_redraws >= sum(batch_sizes) - 100
+
+
 class TestDegenerateDistribution:
     def test_noise_free_data_gives_zero_width_interval(self):
         report = bootstrap_cis(
@@ -218,6 +247,18 @@ class TestValidationAndFailure:
             bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), level=1.0)
         with pytest.raises(ValueError):
             bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(0), resamples=50)
+
+    def test_resample_count_is_read_as_a_whole_number(self):
+        ds = chain_dataset(100, np.random.default_rng(0))
+        reports = [
+            bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(4), 0.95, count)
+            for count in (150, 150.0, np.int64(150))
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert all(type(r.resamples) is int for r in reports)
+        for bad in (150.5, True):
+            with pytest.raises(ValueError, match=f"^resamples must be an integer, got {bad}$"):
+                bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(4), 0.95, bad)
 
     def test_propagates_too_few_observations(self):
         rng = np.random.default_rng(1)

@@ -11,7 +11,7 @@ from lingamkit import (
     permute_matrix,
     simple_residual,
 )
-from lingamkit.core import default_labels
+from lingamkit.core import _subscripts, default_labels
 from lingamkit.errors import (
     DimensionError,
     InvalidPermutation,
@@ -124,6 +124,18 @@ class TestDataset:
         ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])
         with pytest.raises(DimensionError, match=rf"subscript {subscript} is outside 1\.\.2"):
             ds.row(subscript)
+
+    def test_row_refuses_a_subscript_that_is_not_whole(self):
+        # int() would truncate 2.7 to row 2.
+        ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0], [1.0, 0.0, 5.0]])
+        with pytest.raises(DimensionError, match=r"^subscript must be an integer, got 2\.7$"):
+            ds.row(2.7)
+        assert ds.row(2.0).tolist() == ds.row(2).tolist()
+
+    def test_subscripts_refuse_a_bool(self):
+        # int(True) is 1, so [True, 2] would read as the subscripts 1 and 2.
+        with pytest.raises(DimensionError, match="^subscript must be an integer, got True$"):
+            _subscripts([True, 2], 3)
 
     def test_rows_held_c_ordered_whatever_the_input_layout(self):
         values = center(np.random.default_rng(0).standard_normal((3, 40))).values

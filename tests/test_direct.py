@@ -14,8 +14,8 @@ from lingamkit import (
     permute_matrix,
     simple_residual,
 )
-from lingamkit.core import RCOND_THRESHOLD
-from lingamkit.direct import FittedModel
+from lingamkit.core import RCOND_THRESHOLD, _gram
+from lingamkit.direct import FittedModel, _ordered_least_squares
 from lingamkit.errors import (
     NonFiniteValue,
     SingularDesign,
@@ -278,6 +278,25 @@ class TestEstimateStrengths:
         coefs = multi_least_squares(y, preds)
         assert np.array_equal(coefs, multi_least_squares(y * 2.0**-600, preds) * 2.0**600)
         assert np.isfinite(coefs).all() and (coefs != 0.0).all()
+
+    def test_gram_stack_solves_each_member_as_if_alone(self):
+        # One stack through the kernel gives, bit for bit, what each member gives on
+        # its own: a well-posed design, an exactly collinear one, one whose read
+        # entries overflow and a well-posed one at another scale.
+        x = np.random.default_rng(0).standard_normal((4, 4, 60))
+        x[1, 2] = 2.0 * x[1, 0] - x[1, 1]
+        x[2, 1] *= 1e155
+        x[3] *= 2.0**-30
+        x -= x.mean(axis=2, keepdims=True)
+        gram = _gram(x)
+        b, finite, ok = _ordered_least_squares(gram.copy())
+        assert finite.tolist() == [True, True, False, True]
+        assert ok.tolist() == [True, False, False, True]
+        for m in range(len(gram)):
+            alone_b, alone_finite, alone_ok = _ordered_least_squares(gram[m : m + 1].copy())
+            assert np.array_equal(b[m], alone_b[0])
+            assert (finite[m], ok[m]) == (alone_finite[0], alone_ok[0])
+        assert not b[1:3].any() and b[[0, 3]][:, 1:, 0].all()
 
     @pytest.mark.parametrize("factor, singular", [(1.001, False), (0.999, True)])
     def test_rcond_boundary(self, factor, singular):

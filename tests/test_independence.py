@@ -150,6 +150,13 @@ def test_subscripts_outside_one_to_p_raise(active, bad):
             call(active, ds)
 
 
+def test_subscripts_that_are_not_whole_raise():
+    # int() would truncate 1.9 and 2.2 and score the subscripts 1, 2 and 3.
+    ds = chain_dataset(50, np.random.default_rng(0))
+    with pytest.raises(DimensionError, match=r"^subscript must be an integer, got 1\.9$"):
+        t_profile([1.9, 2.2, 3], ds)
+
+
 def test_score_nonnegative_and_order_invariant():
     rng = np.random.default_rng(11)
     for _ in range(30):
