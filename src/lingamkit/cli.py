@@ -57,25 +57,29 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     orientation, in which case a header row is discarded and labels are
     generated. Completely empty records are skipped. Header labels and
     cells have surrounding whitespace stripped by one rule, ``str.strip()``,
-    which ``np.loadtxt`` also follows.
+    which ``np.loadtxt`` also follows; a leading UTF-8 byte-order mark is dropped.
 
-    The table is parsed with one ``np.loadtxt`` call. Input it does not
-    accept as a finite table goes to the per-cell parser, which reports
-    the first bad cell's line and column or parses the rare valid cells
-    ``loadtxt`` rejects (quoted numbers, ``1_000``, non-ASCII digits).
+    The file is opened once and parsed with one ``np.loadtxt`` call. Input
+    it does not accept as a finite table is read again from the start of
+    the same handle by the per-cell parser, which reports the first bad
+    cell's line and column or parses the rare valid cells ``loadtxt``
+    rejects (quoted numbers, ``1_000``, non-ASCII digits).
     """
-    head_line, head, table = 0, None, None
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            head_line, head = 0, None
             if header:
                 reader = csv.reader(fh)
                 head = next(row for row in reader if row)
                 head_line = reader.line_num
-            table = _loadtxt_table(fh)
-    except (ValueError, csv.Error, StopIteration):
-        table = None
-    if table is None:
-        head_line, head, table = _located_table(path, header)
+            # np.loadtxt warns on input with no data, so a file without one goes to the fallback
+            first = next(line for line in fh if line.strip("\r\n"))
+            table = np.loadtxt(itertools.chain((first,), fh), delimiter=",", comments=None, ndmin=2)
+            if not np.isfinite(table).all():
+                raise ValueError("non-finite cell")
+        except (ValueError, csv.Error, StopIteration):
+            fh.seek(0)
+            head_line, head, table = _located_table(fh, header)
 
     labels = None if head is None or variables_as_rows else tuple(cell.strip() for cell in head)
     values = table if variables_as_rows else table.T
@@ -84,23 +88,13 @@ def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Data
     return Dataset(values, labels)
 
 
-def _loadtxt_table(fh) -> np.ndarray | None:
-    """The rest of ``fh`` as a finite table, or None when it has no data or a non-finite cell."""
-    first = next((line for line in fh if line.strip("\r\n")), None)
-    if first is None:  # np.loadtxt warns on input with no data
-        return None
-    table = np.loadtxt(itertools.chain((first,), fh), delimiter=",", comments=None, ndmin=2)
-    return table if np.isfinite(table).all() else None
-
-
-def _located_table(path, header: bool) -> tuple[int, list[str] | None, np.ndarray]:
+def _located_table(fh, header: bool) -> tuple[int, list[str] | None, np.ndarray]:
     """Per-cell parse to ``(header line, header cells, table)``; errors carry 1-based locations."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            records = [(reader.line_num, row) for row in reader if row]
-        except csv.Error as exc:
-            raise ParseError(reader.line_num, 1, f"malformed CSV: {exc}") from exc
+    reader = csv.reader(fh)
+    try:
+        records = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, 1, f"malformed CSV: {exc}") from exc
     if not records:
         raise ParseError(1, 1, "empty CSV file")
 
@@ -117,12 +111,11 @@ def _located_table(path, header: bool) -> tuple[int, list[str] | None, np.ndarra
             raise RaggedRows(line, width, len(row))
         for c, cell in enumerate(row):
             try:
-                value = float(cell.strip())
+                table[r, c] = value = float(cell.strip())
+                if not np.isfinite(value):
+                    raise ValueError(cell)
             except ValueError:
                 raise NonNumericCell(line, c + 1, cell) from None
-            if not np.isfinite(value):
-                raise NonNumericCell(line, c + 1, cell)
-            table[r, c] = value
     return head_line, head, table
 
 

@@ -95,6 +95,8 @@ class BenchmarkGrid:
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"estimators must not repeat a name, got {list(self.estimators)}")
         check_size(min(self.p_values), min(self.n_values))
 
 

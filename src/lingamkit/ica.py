@@ -11,8 +11,8 @@ triangular form, which yields the causal order.
 Steps 2 and 5 are not scale-invariant: rescaling input variables can
 change which permutation wins and which entries get pruned, so
 orderings from this baseline can shift under unit changes. The direct
-estimator exists to avoid both this and FastICA's dependence on random
-initialization.
+estimator's tanh score depends on units too; what it avoids is FastICA's
+random initialization: it has no random start and a fixed number of steps.
 """
 
 from __future__ import annotations

@@ -241,6 +241,10 @@ class TestIntervalProperties:
 
 
 class TestValidationAndFailure:
+    def test_interval_bounds_must_be_ordered(self):
+        with pytest.raises(ValueError, match="^lower 0.9 exceeds upper 0.1$"):
+            EdgeInterval(i=2, j=1, point=0.5, lower=0.9, upper=0.1)
+
     def test_rejects_bad_level_and_resamples(self):
         ds = chain_dataset(100, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -92,6 +92,7 @@ PARSE_ERRORS = {
     "header only": ("a,b\n", {}, (ParseError, 1, 1)),
     "empty file": ("", {}, (ParseError, 1, 1)),
     "no header, empty": ("\n\n", {"header": False}, (ParseError, 1, 1)),
+    "label over field limit": ("a" * 200_000 + ",b\n1,2\n", {}, (ParseError, 1, 1)),
 }
 
 # (text, load_csv keywords, labels or None for generated ones, raw table with variables as rows)
@@ -107,6 +108,11 @@ PARSE_VALUES = {
     "cr endings": ("a,b\r1,4\r2,5\r", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "padded cells": (" a , b\n 1 ,\t4\n2,5 \n", {}, ("a", "b"), [[1, 2], [4, 5]]),
     "no header": ("1,4\n2,5\n", {"header": False}, None, [[1, 2], [4, 5]]),
+    "byte-order mark": ("\ufeffa,b\n1,4\n2,5\n", {}, ("a", "b"), [[1, 2], [4, 5]]),
+    "byte-order mark, no header": ("\ufeff1,4\n2,5\n", {"header": False}, None, [[1, 2], [4, 5]]),
+    "byte-order mark, quoted number": (
+        '\ufeffa,b\n"1.5",4\n2,5\n', {}, ("a", "b"), [[1.5, 2], [4, 5]]
+    ),
     "variables as rows": (
         "a,b,c\n1,2,3\n4,5,9\n", {"variables_as_rows": True}, None, [[1, 2, 3], [4, 5, 9]]
     ),
@@ -155,7 +161,8 @@ class TestParseParity:
             return data.labels, data.values.tolist()
 
         def per_cell():
-            _, head, table = cli._located_table(path, True)
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                _, head, table = cli._located_table(fh, True)
             return Dataset(table.T, tuple(cell.strip() for cell in head))
 
         for c in WHITESPACE_PROBES:
@@ -521,10 +528,13 @@ class TestMalformedDocuments:
             ({"estimators": "direct"}, "ValueError: estimators must be a list, got 'direct'\n"),
             ({"estimators": [["direct"]]}, "ValueError: unknown estimators [['direct']]; "
                                            "choose from ('direct', 'ica_baseline')\n"),
+            ({"estimators": ["direct", "direct"]}, "ValueError: estimators must not repeat a name, "
+                                                   "got ['direct', 'direct']\n"),
             ({"trials": "missing"}, "ValueError: grid document lacks trials\n"),
         ],
         ids=["trials-null", "trials-1.7", "trials-true", "seed-string", "seed-negative", "p-string",
-             "n-null", "estimators-string", "estimators-nested", "trials-missing"],
+             "n-null", "estimators-string", "estimators-nested", "estimators-repeated",
+             "trials-missing"],
     )
     def test_bad_grid_field_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, changes, message):
         trials = []

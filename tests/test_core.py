@@ -114,6 +114,11 @@ class TestDataset:
                 build()
             assert str(err.value) == message
 
+    def test_label_count_must_match_the_rows(self):
+        with pytest.raises(DimensionError) as err:
+            Dataset([[1.0, 2.0], [3.0, 5.0]], ("x1",))
+        assert str(err.value) == "1 labels for 2 rows"
+
     def test_row_accessor_uses_subscripts(self):
         ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])
         assert ds.row(2).tolist() == [-2.0, 0.0, 2.0]
@@ -164,6 +169,12 @@ class TestSimpleResidual:
     def test_zero_variance_regressor(self):
         with pytest.raises(ZeroVariance):
             simple_residual(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
+
+    @pytest.mark.parametrize("xi_shape, xj_shape", [(3, 4), ((2, 3), (2, 3))], ids=["lengths", "2-D"])
+    def test_needs_two_vectors_of_one_length(self, xi_shape, xj_shape):
+        with pytest.raises(DimensionError) as err:
+            simple_residual(np.ones(xi_shape), np.ones(xj_shape))
+        assert str(err.value) == "xi and xj must be 1-D vectors of equal length"
 
     def test_residual_uncorrelated_with_regressor(self):
         rng = np.random.default_rng(0)
@@ -219,6 +230,27 @@ class TestMultiLeastSquares:
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
             multi_least_squares(np.array([1.0, 2.0]), np.eye(2))
+
+    def test_target_length_must_match_the_observations(self):
+        with pytest.raises(DimensionError) as err:
+            multi_least_squares(np.ones(3), np.eye(4)[:2])
+        assert str(err.value) == "y has length 3, predictors have 4 columns"
+
+
+class TestConnectionMatrix:
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+            (np.zeros(3), "expected a square matrix, got shape (3,)"),
+            ([[0.0, 1.0], [1.0, 0.5]], "diagonal entries must be exactly zero"),
+        ],
+        ids=["2x3", "1-D", "self-loop"],
+    )
+    def test_rejects(self, entries, message):
+        with pytest.raises(DimensionError) as err:
+            ConnectionMatrix(entries)
+        assert str(err.value) == message
 
 
 class TestPermuteMatrix:

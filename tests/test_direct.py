@@ -3,6 +3,7 @@ import pytest
 
 from lingamkit import (
     CausalOrder,
+    ConnectionMatrix,
     Dataset,
     bootstrap_cis,
     center,
@@ -197,6 +198,35 @@ class TestMatchesPairLoop:
         assert raised >= 7
 
 
+class TestInvariance:
+    """Exact consequences of the method's symmetries, on seeded synthetic data."""
+
+    @staticmethod
+    def cases():
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(2, 21))
+            data, _ = generate(p, int(rng.integers(p + 1, 1001)), ("dense", "sparse")[seed % 2], rng)
+            yield rng, data, estimate_order(data)
+
+    def test_sign_flips_change_no_bit(self):
+        # tanh is odd and negation is exact, so every score keeps its bits.
+        for rng, data, (order, diagnostics) in self.cases():
+            signs = rng.choice([-1.0, 1.0], size=(data.p, 1))
+            assert estimate_order(Dataset(data.values * signs)) == (order, diagnostics)
+
+    def test_row_permutation_permutes_the_order(self):
+        for rng, data, (order, diagnostics) in self.cases():
+            perm = rng.permutation(data.p)
+            moved = np.argsort(perm) + 1  # moved[s - 1] is old subscript s's new subscript
+            new_order, new_diagnostics = estimate_order(Dataset(data.values[perm]))
+            assert new_order.order == tuple(int(moved[s - 1]) for s in order)
+            for step, new_step in zip(diagnostics, new_diagnostics):
+                expected = {int(moved[s - 1]): score for s, score in step.items()}
+                # Gram sums run in another order, so scores may move in the last bits.
+                assert new_step == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestEstimateStrengths:
     def test_single_variable_zero_matrix(self):
         ds = center([[1.0, 2.0, 4.0]])
@@ -379,6 +409,15 @@ def test_fitted_model_validates_diagnostics_shape():
     model = fit(ds)
     with pytest.raises(ValueError):
         FittedModel(order=model.order, strengths=model.strengths, diagnostics=())
+    with pytest.raises(ValueError, match="^diagnostic step 1 has 3 entries, expected 2$"):
+        FittedModel(model.order, model.strengths, (model.diagnostics[0], model.diagnostics[0]))
+
+
+def test_fitted_model_refuses_strengths_its_order_does_not_fit():
+    model = fit(chain_dataset(500, np.random.default_rng(4)))
+    upper = ConnectionMatrix(model.strengths.entries.T)
+    with pytest.raises(ValueError, match="^strengths are not strictly lower triangular under the order$"):
+        FittedModel(model.order, upper, model.diagnostics)
 
 
 def test_residual_recursion_preserves_relative_order():

@@ -115,6 +115,8 @@ class TestBenchmarkGrid:
             BenchmarkGrid(trials=0)
         with pytest.raises(ValueError):
             BenchmarkGrid(estimators=("direct", "pc"))
+        with pytest.raises(ValueError, match="^estimators must not repeat a name"):
+            BenchmarkGrid(estimators=("direct", "ica_baseline", "direct"))
 
     @pytest.mark.parametrize(
         "kwargs, message",

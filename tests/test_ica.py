@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lingamkit import (
+    BaselineModel,
+    CausalOrder,
     ConnectionMatrix,
     b_from_unmixing,
     center,
@@ -13,7 +15,7 @@ from lingamkit import (
     prune_and_order,
 )
 from lingamkit import ica
-from lingamkit.errors import NoFeasibleAssignment, RankDeficient, ZeroDiagonal
+from lingamkit.errors import DimensionError, NoFeasibleAssignment, RankDeficient, ZeroDiagonal
 from lingamkit.ica import _whiten
 
 from helpers import CHAIN_B, brute_force_assignment, chain_dataset, linear_prune_and_order
@@ -108,6 +110,10 @@ class TestDiagonalPermutation:
     def test_infeasible_raises(self):
         with pytest.raises(NoFeasibleAssignment):
             diagonal_permutation(np.array([[0.0, 1.0], [0.0, 1.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            diagonal_permutation(np.ones((2, 3)))
 
 
 class TestBFromUnmixing:
@@ -232,6 +238,10 @@ class TestPruneAndOrder:
 
 
 class TestIcaLingamFit:
+    def test_model_refuses_a_pruned_matrix_its_order_does_not_fit(self):
+        with pytest.raises(ValueError, match="^pruned matrix is not strictly lower triangular"):
+            BaselineModel(CausalOrder((3, 2, 1)), CHAIN_B, CHAIN_B, converged=True)
+
     def test_chain_model(self):
         ds = chain_dataset(10000, np.random.default_rng(19))
         model = ica_lingam_fit(ds, np.random.default_rng(3))
