@@ -123,7 +123,7 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
     """Write observations as rows with a label header, full float precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(dataset.labels)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in dataset.values.T.tolist())
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in dataset.values.T)
 
 
 def _float_rows(rows) -> tuple[tuple[float, ...], ...]:

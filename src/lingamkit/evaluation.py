@@ -86,8 +86,8 @@ class BenchmarkGrid:
             object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
         for name in ("trials", "master_seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not self.p_values or not self.n_values:
-            raise ValueError("p_values and n_values must be non-empty")
+        if empty := [n for n in ("p_values", "n_values", "estimators") if not getattr(self, n)]:
+            raise ValueError(f"{' and '.join(empty)} must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.master_seed < 0:
@@ -280,6 +280,8 @@ def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
     if threads == 1:
         trial_maps = list(map(_run_trial, *zip(*tasks)))
     else:  # fork: workers start before the pool's threads, with numpy already imported
+        if "ica_baseline" in grid.estimators:  # and with the ICA baseline's solver
+            __import__("scipy.optimize")
         with ProcessPoolExecutor(
             min(threads, len(tasks)), get_context("fork"), _exit_with_parent, (os.getpid(),)
         ) as pool:

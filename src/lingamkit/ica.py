@@ -1,12 +1,13 @@
 """The original ICA-based estimation pipeline, kept as a comparison baseline.
 
-Five steps: (1) FastICA recovers an unmixing matrix up to row permutation
-and scaling; (2) rows are permuted to make the diagonal zero-free,
-minimizing the sum of reciprocal absolute diagonal entries via linear
-assignment; (3) rows are rescaled to a unit diagonal; (4) the strength
-matrix is ``I`` minus the rescaled unmixing matrix; (5) the smallest
-entries are zeroed until the matrix can be permuted to strictly lower
-triangular form, which yields the causal order.
+Five steps: (1) FastICA recovers an unmixing matrix up to row permutation and
+scaling; (2) rows are permuted to make the diagonal zero-free, minimizing the
+sum of reciprocal absolute diagonal entries with scipy's linear assignment
+solver, which ``diagonal_permutation`` imports on first use: nothing else needs
+scipy, and loading it tripled every command's start-up; (3) rows are rescaled
+to a unit diagonal; (4) the strength matrix is ``I`` minus the rescaled
+unmixing matrix; (5) the smallest entries are zeroed until the matrix can be
+permuted to strictly lower triangular form, which yields the causal order.
 
 Steps 2 and 5 are not scale-invariant: rescaling input variables can
 change which permutation wins and which entries get pruned, so
@@ -21,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     CausalOrder,
@@ -135,6 +135,7 @@ def diagonal_permutation(w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     ``w_tilde[i] == w[row_order[i]]``. Raises ``NoFeasibleAssignment``
     when every permutation leaves a zero on the diagonal.
     """
+    from scipy.optimize import linear_sum_assignment
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {w.shape}")

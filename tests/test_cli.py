@@ -4,7 +4,11 @@ import functools
 import io
 import json
 import operator
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,11 +534,12 @@ class TestMalformedDocuments:
                                            "choose from ('direct', 'ica_baseline')\n"),
             ({"estimators": ["direct", "direct"]}, "ValueError: estimators must not repeat a name, "
                                                    "got ['direct', 'direct']\n"),
+            ({"estimators": []}, "ValueError: estimators must be non-empty\n"),
             ({"trials": "missing"}, "ValueError: grid document lacks trials\n"),
         ],
         ids=["trials-null", "trials-1.7", "trials-true", "seed-string", "seed-negative", "p-string",
              "n-null", "estimators-string", "estimators-nested", "estimators-repeated",
-             "trials-missing"],
+             "estimators-empty", "trials-missing"],
     )
     def test_bad_grid_field_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, changes, message):
         trials = []
@@ -672,3 +677,38 @@ def test_report_csv_column_order(artifacts):
     with open(artifacts / "report.csv", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh))
     assert header == ["p", "n", "estimator", "trial", "order_errors", "frobenius", "seconds", "error"]
+
+
+# The import boundary: scipy.optimize, the ICA baseline's linear assignment solver,
+# is loaded only by runs of that baseline. Each case runs in a fresh interpreter.
+LOADS_SOLVER = {
+    "import": ("import lingamkit", False),
+    "simulate": ("main(['simulate', '--p', '3', '--n', '300', '--seed', '1', '--out-data', 'y.csv', "
+                 "'--out-truth', 'y.json'])", False),
+    "fit-direct": ("main(['fit', '--input', 'x.csv', '--output', 'm.json'])", False),
+    "bootstrap": ("main(['bootstrap', '--input', 'x.csv', '--model', 'model-direct.json', "
+                  "'--resamples', '20', '--out', 'e.json'])", False),
+    "fit-ica": ("main(['fit', '--input', 'x.csv', '--method', 'ica', '--output', 'm.json'])", True),
+    # ICA runs only in the forked workers, so only an import before forking puts it in the parent.
+    "benchmark-ica-2": ("run_benchmark(BenchmarkGrid(p_values=[3], n_values=[40], trials=2), 2)", True),
+    "benchmark-direct-2": ("run_benchmark(BenchmarkGrid(p_values=[3], n_values=[40], trials=2, "
+                           "estimators=['direct']), 2)", False),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADS_SOLVER))
+def test_scipy_optimize_loaded_only_for_the_ica_baseline(artifacts, name):
+    code, loaded = LOADS_SOLVER[name]
+    script = (
+        "import sys\n"
+        "from lingamkit import BenchmarkGrid, run_benchmark\n"
+        "from lingamkit.cli import main\n"
+        f"{code}\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=artifacts, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)

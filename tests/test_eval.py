@@ -117,6 +117,10 @@ class TestBenchmarkGrid:
             BenchmarkGrid(estimators=("direct", "pc"))
         with pytest.raises(ValueError, match="^estimators must not repeat a name"):
             BenchmarkGrid(estimators=("direct", "ica_baseline", "direct"))
+        with pytest.raises(ValueError, match="^estimators must be non-empty$"):
+            BenchmarkGrid(estimators=())
+        with pytest.raises(ValueError, match="^p_values and n_values must be non-empty$"):
+            BenchmarkGrid(p_values=[], n_values=[])
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -162,12 +166,6 @@ class TestBenchmarkGrid:
 
 
 class TestRunBenchmark:
-    def test_empty_estimator_set(self):
-        grid = BenchmarkGrid(p_values=(3,), n_values=(50,), trials=2, estimators=())
-        report = run_benchmark(grid)
-        assert report.cells[0].trials == {}
-        assert report.cells[0].summaries == {}
-
     def test_smoke_cell_has_one_entry_per_trial(self):
         grid = BenchmarkGrid(
             p_values=(5,), n_values=(1000,), trials=9, estimators=("direct",), master_seed=5
