@@ -9,7 +9,7 @@ excludes zero. Degenerate resamples (a constant row, a singular design,
 or an overflow in a Gram entry that a regression reads) are redrawn; more
 than ``resamples`` redraws in total raise ``TooManySingularResamples``.
 
-Two sizes come from the one constant ``CHUNK_VALUES`` (2**17 values, 1 MB). A
+Two sizes come from the package's one batch budget, ``core.CHUNK_VALUES``. A
 gather chunk of ``CHUNK_VALUES // (p*n)`` resamples draws its columns with one
 ``rng.integers(0, n, size=(m, n))``, the same stream as m draws of size n, is
 centered in place and multiplied out by one batched matmul. A solve batch of up
@@ -26,11 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ``center`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import Dataset, _as_order, _constant_rows, _gram, _integer, center  # noqa: F401
+from .core import CHUNK_VALUES, Dataset, _as_order, _constant_rows, _gram, _integer, center  # noqa: F401
 from .direct import _ordered_least_squares, estimate_strengths
 from .errors import TooManySingularResamples
-
-CHUNK_VALUES = 2**17
 
 
 @dataclass(frozen=True)

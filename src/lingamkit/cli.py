@@ -11,6 +11,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -33,6 +34,9 @@ from .synth import generate
 
 SCHEMA_MAJOR = 1
 SCHEMA_MINOR = 0
+
+# The estimators of ``fit --method``, which a model file's ``estimator`` names.
+METHODS = ("direct", "ica")
 
 
 def _schema(name: str) -> dict:
@@ -126,10 +130,6 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in dataset.values.T)
 
 
-def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in rows)
-
-
 def _of(kind):
     """A reader that passes a value of type ``kind`` and refuses any other."""
 
@@ -139,6 +139,30 @@ def _of(kind):
         return value
 
     return read
+
+
+def _strings(values) -> tuple[str, ...]:
+    """A list of strings as a tuple; a string alone is not one."""
+    if not isinstance(values, (list, tuple)) or not all(isinstance(s, str) for s in values):
+        raise TypeError(f"expected a list of strings, got {values!r}")
+    return tuple(values)
+
+
+def _number(value) -> float:
+    """A finite number as a float; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(_number(v) for v in row) for row in rows)
+
+
+def _method(value) -> str:
+    if value not in METHODS:
+        raise ValueError(f"expected one of {METHODS}, got {value!r}")
+    return value
 
 
 def _read(read, default=MISSING):
@@ -152,13 +176,13 @@ class ModelDocument:
 
     The fields, in order, are the document's keys after ``schema``."""
 
-    labels: tuple[str, ...] = _read(tuple)
+    labels: tuple[str, ...] = _read(_strings)
     order: tuple[int, ...] = _read(lambda subs: tuple(_integer("subscript", s) for s in subs))
     strengths: tuple[tuple[float, ...], ...] = _read(_float_rows)
     diagnostics: tuple[tuple[tuple[int, float], ...], ...] = _read(
-        lambda steps: tuple(tuple((_integer("subscript", s), float(t)) for s, t in st) for st in steps)
+        lambda steps: tuple(tuple((_integer("subscript", s), _number(t)) for s, t in st) for st in steps)
     )
-    estimator: str = _read(_of(str))
+    estimator: str = _read(_method)
     seed: int = _read(lambda value: _integer("seed", value))
     version: str = _read(_of(str))
     pruned: tuple[tuple[float, ...], ...] | None = _read(_float_rows, None)
@@ -180,6 +204,16 @@ class ModelDocument:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"model field {f.name}: {exc}") from None
         return cls(**values)
+
+
+def _read_json(path):
+    """Read strict JSON: a bare ``NaN``, ``Infinity`` or ``-Infinity`` raises ``ValueError``."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -254,8 +288,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    with open(args.grid, encoding="utf-8") as fh:
-        grid_doc = json.load(fh)
+    grid_doc = _read_json(args.grid)
     _check_schema(grid_doc, "lingamkit-grid")
     missing = [key for key in ("p_values", "n_values", "trials") if key not in grid_doc]
     if missing:  # a grid without them would fall back to the full protocol
@@ -275,8 +308,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     data = load_csv(args.input, header=not args.no_header, variables_as_rows=args.variables_as_rows)
-    with open(args.model, encoding="utf-8") as fh:
-        doc = ModelDocument.from_dict(json.load(fh))
+    doc = ModelDocument.from_dict(_read_json(args.model))
     if doc.labels != data.labels:
         raise DimensionMismatch(
             f"model labels {list(doc.labels)} do not match dataset labels {list(data.labels)}"
@@ -323,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="estimate a causal order and strengths from a CSV")
     p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--method", choices=("direct", "ica"), default="direct")
+    p_fit.add_argument("--method", choices=METHODS, default="direct")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--output", required=True)
     _add_csv_options(p_fit)

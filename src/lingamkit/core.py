@@ -41,6 +41,9 @@ RCOND_THRESHOLD = 1e-10
 # makes centering idempotent and CSV round trips exact.
 CENTERED_TOL = 1e-12
 
+# Values in one batch of working arrays (1 MB): bounds every batched kernel's extra memory.
+CHUNK_VALUES = 2**17
+
 
 def _center_rows(x: np.ndarray) -> np.ndarray:
     """Center in place each row of a C-ordered block whose ``|mean| > CENTERED_TOL *

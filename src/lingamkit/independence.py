@@ -16,8 +16,8 @@ scores all candidates of a block at once; the public functions are views of it.
 The second term needs no residual rows: its covariance and variance follow in
 closed form, for all pairs at once, from ``x @ g(x).T`` and the Gram matrix; a
 variance that cancels to zero or below counts as zero. ``g(r_i)`` is formed for
-every row of the block, for a chunk of candidates (``CHUNK_VALUES`` values, or one
-candidate) at a time, in one reused C-ordered ``(c, k, n)`` buffer, as ``Dataset``
+every row of the block, for a chunk of candidates (``core.CHUNK_VALUES`` values, or
+one candidate) at a time, in one reused C-ordered ``(c, k, n)`` buffer, as ``Dataset``
 rows are held: the candidate's own residual ``x_j - 1.0 * x_j`` is exactly 0.
 """
 
@@ -26,11 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 # ``simple_residual`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import Dataset, _gram, _subscripts, simple_residual  # noqa: F401
+from .core import CHUNK_VALUES, Dataset, _gram, _subscripts, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
-
-# Values in one chunk of residual blocks (512 KB): bounds the kernel's extra memory.
-CHUNK_VALUES = 2**16
 
 
 def _abs_corr(cov: np.ndarray, var_a: np.ndarray, var_b) -> np.ndarray:

@@ -163,13 +163,10 @@ def generate(
     model = random_model(p, network, rng)
     b = model.b_true.entries
 
-    e = np.empty((p, n))
-    for i in range(p):
-        e[i] = model.noise_stds[i] * sample_non_gaussian(n, model.exponents[i], rng)
     x = np.empty((p, n))
     for i in range(p):
-        x[i] = e[i] + b[i, :i] @ x[:i]
+        x[i] = model.noise_stds[i] * sample_non_gaussian(n, model.exponents[i], rng) + b[i, :i] @ x[:i]
 
     perm = rng.permutation(p)
-    shuffle = CausalOrder(tuple(int(s) + 1 for s in perm))
-    return Dataset(x[perm]), replace(model, shuffle=shuffle)
+    x = x[perm]  # frees the unshuffled rows before Dataset makes its copy
+    return Dataset(x), replace(model, shuffle=CausalOrder(tuple(int(s) + 1 for s in perm)))

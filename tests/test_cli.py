@@ -536,10 +536,11 @@ class TestMalformedDocuments:
                                                    "got ['direct', 'direct']\n"),
             ({"estimators": []}, "ValueError: estimators must be non-empty\n"),
             ({"trials": "missing"}, "ValueError: grid document lacks trials\n"),
+            ({"x": float("inf")}, "ValueError: Infinity is not strict JSON\n"),
         ],
         ids=["trials-null", "trials-1.7", "trials-true", "seed-string", "seed-negative", "p-string",
              "n-null", "estimators-string", "estimators-nested", "estimators-repeated",
-             "estimators-empty", "trials-missing"],
+             "estimators-empty", "trials-missing", "infinity-constant"],
     )
     def test_bad_grid_field_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, changes, message):
         trials = []
@@ -577,19 +578,36 @@ class TestMalformedDocuments:
         "field, value",
         [("order", [None, 1, 2]), ("diagnostics", [[1]]), ("seed", 1e400), ("estimator", 5),
          ("strengths", None), ("converged", "yes"), ("order", [2.7, 3.2, 1.9]),
-         ("order", ["2", "3", "1"]), ("seed", True), ("seed", 2.9), ("diagnostics", [[[1.5, 0.1]]])],
+         ("order", ["2", "3", "1"]), ("seed", True), ("seed", 2.9), ("diagnostics", [[[1.5, 0.1]]]),
+         ("labels", "abc"), ("labels", [1, 2, 3]), ("strengths", [["1.5", 0.0, 0.0]]),
+         ("strengths", [[True, 0.0, 0.0]]), ("strengths", [[1e400, 0.0, 0.0]]), ("pruned", [[True]]),
+         ("diagnostics", [[[1, "nan"]]]), ("estimator", "bogus")],
     )
     def test_model_field_of_the_wrong_type_is_named(self, tmp_path, capsys, field, value):
         data = TestCommands().write_chain_csv(tmp_path, n=200)
         run_cli("fit", "--input", data, "--output", tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
         doc[field] = value
-        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        # Strict JSON has no Infinity: an infinite value is the literal 1e400, which reads as inf.
+        text = json.dumps(doc).replace("Infinity", "1e400")
+        (tmp_path / "m.json").write_text(text, encoding="utf-8")
         capsys.readouterr()
         code = run_cli("bootstrap", "--input", data, "--model", tmp_path / "m.json",
                        "--out", tmp_path / "e.json")
         assert code == 1
         assert one_error_line(capsys).startswith(f"ValueError: model field {field}: ")
+
+    def test_nan_constant_in_model_is_refused(self, tmp_path, capsys):
+        data = TestCommands().write_chain_csv(tmp_path, n=200)
+        run_cli("fit", "--input", data, "--output", tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        doc["strengths"][1][0] = float("nan")
+        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("bootstrap", "--input", data, "--model", tmp_path / "m.json",
+                       "--out", tmp_path / "e.json")
+        assert code == 1
+        assert one_error_line(capsys) == "ValueError: NaN is not strict JSON\n"
 
 
 MODEL_KEYS = ["schema", "labels", "order", "strengths", "diagnostics", "estimator", "seed",

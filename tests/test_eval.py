@@ -37,6 +37,7 @@ class TestOrderErrors:
 
     def test_full_reversal_gives_three(self):
         assert order_errors(CHAIN_B, CausalOrder((3, 2, 1))) == 3
+        assert order_errors(np.array(CHAIN_B.entries), CausalOrder((3, 2, 1))) == 3
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
