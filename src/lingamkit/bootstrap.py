@@ -120,8 +120,7 @@ def bootstrap_cis(
         done += kept
 
     alpha = (1.0 - level) / 2.0
-    lower = np.quantile(draws, alpha, axis=0, method="linear")
-    upper = np.quantile(draws, 1.0 - alpha, axis=0, method="linear")
+    lower, upper = np.quantile(draws, [alpha, 1.0 - alpha], axis=0, method="linear")
 
     edges = tuple(
         EdgeInterval(

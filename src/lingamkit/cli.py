@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, direct
 from .bootstrap import bootstrap_cis
-from .core import CausalOrder, Dataset, _field_dict, _integer
+from .core import CausalOrder, Dataset, _field_dict, _integer, _seed
 from .errors import (
     DimensionMismatch,
     LingamError,
@@ -183,7 +183,7 @@ class ModelDocument:
         lambda steps: tuple(tuple((_integer("subscript", s), _number(t)) for s, t in st) for st in steps)
     )
     estimator: str = _read(_method)
-    seed: int = _read(lambda value: _integer("seed", value))
+    seed: int = _read(lambda value: _seed("seed", value))
     version: str = _read(_of(str))
     pruned: tuple[tuple[float, ...], ...] | None = _read(_float_rows, None)
     converged: bool | None = _read(_of(bool), None)
@@ -399,11 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "seed" in vars(args):
+            _seed("--seed", args.seed)
         return args.handler(args)
-    except LingamError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (LingamError, OSError, ValueError, KeyError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,10 @@ Conventions used throughout the package:
   labels and printed output. Anything named ``indices`` is 0-based and
   meant for numpy indexing.
 * A ``Dataset`` is always centered: construction centers its own
-  C-ordered copy of the rows by the one rule of ``_center_rows``, so
-  estimators take any ``Dataset`` as centered data. Its labels default
-  to ``x1 .. xp``, and ``center`` is another name for ``Dataset``.
+  C-ordered copy of the rows by the one rule of ``_center_rows``, whose
+  one mean, max and min per row also refuse NaN, infinite and constant
+  rows, so estimators take any ``Dataset`` as centered data. Its labels
+  default to ``x1 .. xp``, and ``center`` is another name for ``Dataset``.
 * Sample moments use the 1/n divisor. Regression coefficients are
   ratios of moments, so estimates do not depend on this choice; it is
   fixed here so that every statistic in the package is reproducible to
@@ -19,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -48,32 +50,25 @@ CHUNK_VALUES = 2**17
 def _center_rows(x: np.ndarray) -> np.ndarray:
     """Center in place each row of a C-ordered block whose ``|mean| > CENTERED_TOL *
     max|row|``, again if that changed a row (a mean large against the row's spread leaves
-    a residue); a row that overflows raises ``NonFiniteValue``. Returns the constant rows."""
-    for _ in range(2):
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = x.mean(axis=1)
-            off = ~(np.abs(means) <= CENTERED_TOL * np.abs(x).max(axis=1))
+    a residue); return the constant rows, which centering never changes. One mean, max
+    and min per row and pass decide all three; a NaN or inf entry, or a row that overflows
+    when centered, raises ``NonFiniteValue``. Other rows keep every bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            means, hi, lo = x.mean(axis=1), x.max(axis=1), x.min(axis=1)
+            scale = np.maximum(hi, -lo)  # max|row|; NaN or inf exactly when an entry is
+            if not np.isfinite(scale).all():
+                i = int(np.argmax(~np.isfinite(scale)))
+                j = int(np.argmax(~np.isfinite(x[i])))
+                raise NonFiniteValue(f"row {i + 1}, observation {j + 1} is {x[i, j]}")
+            off = ~(np.abs(means) <= CENTERED_TOL * scale)
             if not off.any():
                 break
-            x[off] -= means[off, None]
-        overflowed = np.flatnonzero(off)[~np.isfinite(x[off]).all(axis=1)]
-        if overflowed.size:
-            raise NonFiniteValue(f"row {overflowed[0] + 1} overflows when centered")
-    return _constant_rows(x)
-
-
-def _require_matrix(values: np.ndarray) -> None:
-    """Raise ``DimensionError`` unless ``values`` is 2-D with a row and two columns, and
-    ``NonFiniteValue`` for a NaN or inf entry."""
-    if values.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got {values.ndim}-D")
-    if len(values) < 1:
-        raise DimensionError("need at least one variable")
-    if values.shape[1] < 2:
-        raise DimensionError(f"need at least two observations, got {values.shape[1]}")
-    if not np.isfinite(values).all():
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise NonFiniteValue(f"row {i + 1}, observation {j + 1} is {values[i, j]}")
+            x -= np.where(off, means, 0.0)[:, None]
+            overflowed = np.flatnonzero(off & ~np.isfinite(x).all(axis=1))
+            if overflowed.size:
+                raise NonFiniteValue(f"row {overflowed[0] + 1} overflows when centered")
+    return hi == lo
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -101,6 +96,14 @@ def _integer(field: str, value, error: type[Exception] = ValueError) -> int:
     return int(value)
 
 
+def _seed(field: str, value) -> int:
+    """``value`` as a seed, a whole number of at least 0, else a ``ValueError`` naming ``field``."""
+    seed = _integer(field, value)
+    if seed < 0:
+        raise ValueError(f"{field} must not be negative, got {seed}")
+    return seed
+
+
 def _subscripts(subs, p: int) -> list[int]:
     """Distinct 1-based subscripts, ascending; one that is not a whole number or lies
     outside ``1..p`` raises ``DimensionError``."""
@@ -116,8 +119,8 @@ class Dataset:
 
     Centers a C-ordered copy of ``values`` by ``_center_rows``, so the caller's array
     is untouched; rows within ``CENTERED_TOL`` of zero keep their bits, so centering is
-    idempotent. Rejects NaN or infinite entries and constant rows. ``labels`` default
-    to ``x1 .. xp``.
+    idempotent. Rejects NaN or infinite entries, constant rows and labels that repeat
+    or are empty. ``labels`` default to ``x1 .. xp``.
     """
 
     values: np.ndarray
@@ -125,13 +128,21 @@ class Dataset:
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float, order="C")
-        _require_matrix(arr)
+        if arr.ndim != 2:
+            raise DimensionError(f"expected a 2-D matrix, got {arr.ndim}-D")
+        if len(arr) < 1:
+            raise DimensionError("need at least one variable")
+        if arr.shape[1] < 2:
+            raise DimensionError(f"need at least two observations, got {arr.shape[1]}")
+        constant = _center_rows(arr)
         labels = default_labels(len(arr)) if self.labels is None else tuple(self.labels)
         if len(labels) != len(arr):
             raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
-        constant = _center_rows(arr)
+        if bad := [s for s, k in Counter(labels).items() if k > 1 or s == ""]:
+            raise DimensionError(f"labels must be distinct and non-empty, got {bad}")
         if constant.any():
-            raise ZeroVarianceRow(int(np.argmax(constant)) + 1)
+            i = int(np.argmax(constant))
+            raise ZeroVarianceRow(i + 1, f"variable {labels[i]} has zero sample variance")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "labels", labels)

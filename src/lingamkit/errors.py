@@ -29,9 +29,9 @@ class ZeroVariance(LingamError):
 class ZeroVarianceRow(ZeroVariance):
     """A data row is constant; carries the 1-based row subscript."""
 
-    def __init__(self, subscript: int, message: str | None = None):
+    def __init__(self, subscript: int, message: str):
         self.subscript = subscript
-        super().__init__(message or f"row {subscript} has zero sample variance")
+        super().__init__(message)
 
 
 class NonFiniteValue(LingamError):

@@ -34,7 +34,7 @@ from time import perf_counter, sleep
 import numpy as np
 
 from . import direct
-from .core import ConnectionMatrix, _as_order, _field_dict, _integer, permute_matrix
+from .core import ConnectionMatrix, _as_order, _field_dict, _integer, _seed, permute_matrix
 from .errors import DimensionMismatch, LingamError
 from .ica import ica_lingam_fit
 from .synth import check_size, generate
@@ -90,8 +90,7 @@ class BenchmarkGrid:
             raise ValueError(f"{' and '.join(empty)} must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must not be negative, got {self.master_seed}")
+        _seed("master_seed", self.master_seed)
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")

@@ -15,7 +15,7 @@ import pytest
 
 from lingamkit import Dataset, __version__, center, cli, direct, evaluation, generate
 from lingamkit.cli import ModelDocument, load_csv, main, write_dataset_csv
-from lingamkit.errors import NonNumericCell, ParseError, RaggedRows
+from lingamkit.errors import NonNumericCell, ParseError, RaggedRows, ZeroVarianceRow
 
 from helpers import chain_dataset
 
@@ -500,6 +500,38 @@ class TestCommands:
         assert run_cli("fit", "--input", tmp_path / "x.csv", "--output", tmp_path / "m.json") == 1
         assert capsys.readouterr().err == "TooFewObservations: 29 predictors with only 12 observations\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "x.csv", "--output", "m.json"],
+            ["fit", "--method", "ica", "--input", "x.csv", "--output", "m.json"],
+            ["simulate", "--p", 3, "--n", 50, "--out-data", "x.csv", "--out-truth", "t.json"],
+            ["bootstrap", "--input", "x.csv", "--model", "m.json", "--out", "e.json"],
+        ],
+        ids=["fit-direct", "fit-ica", "simulate", "bootstrap"],
+    )
+    def test_negative_seed_is_refused_before_any_file_is_touched(self, tmp_path, capsys, monkeypatch, argv):
+        # x.csv does not exist: reading it would fail as FileNotFoundError.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--seed", -1) == 1
+        assert one_error_line(capsys) == "ValueError: --seed must not be negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_constant_column_is_named_by_its_label(self, tmp_path, capsys):
+        data = write_text(tmp_path / "d.csv", "a,b,c\n1,5,2\n2,5,7\n4,5,1\n")
+        with pytest.raises(ZeroVarianceRow) as err:
+            load_csv(data)
+        assert err.value.subscript == 2
+        assert run_cli("fit", "--input", data, "--output", tmp_path / "m.json") == 1
+        assert one_error_line(capsys) == "ZeroVarianceRow: variable b has zero sample variance\n"
+
+    @pytest.mark.parametrize("header, bad", [("a,a,c", ["a"]), ("a,,c", [""]), (",b,b", ["", "b"])])
+    def test_repeated_or_empty_labels_are_refused(self, tmp_path, capsys, header, bad):
+        # Edges between two variables labelled a would print as "a -> a", a self-loop.
+        data = write_text(tmp_path / "d.csv", header + "\n1,5,2\n2,3,7\n4,5,1\n")
+        assert run_cli("fit", "--input", data, "--output", tmp_path / "m.json") == 1
+        assert one_error_line(capsys) == f"DimensionError: labels must be distinct and non-empty, got {bad}\n"
+
 
 SCHEMA = {"schema": {"name": "lingamkit-grid", "major": 1, "minor": 0}}
 
@@ -581,7 +613,7 @@ class TestMalformedDocuments:
          ("order", ["2", "3", "1"]), ("seed", True), ("seed", 2.9), ("diagnostics", [[[1.5, 0.1]]]),
          ("labels", "abc"), ("labels", [1, 2, 3]), ("strengths", [["1.5", 0.0, 0.0]]),
          ("strengths", [[True, 0.0, 0.0]]), ("strengths", [[1e400, 0.0, 0.0]]), ("pruned", [[True]]),
-         ("diagnostics", [[[1, "nan"]]]), ("estimator", "bogus")],
+         ("diagnostics", [[[1, "nan"]]]), ("estimator", "bogus"), ("seed", -1)],
     )
     def test_model_field_of_the_wrong_type_is_named(self, tmp_path, capsys, field, value):
         data = TestCommands().write_chain_csv(tmp_path, n=200)

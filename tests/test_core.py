@@ -11,7 +11,7 @@ from lingamkit import (
     permute_matrix,
     simple_residual,
 )
-from lingamkit.core import _subscripts, default_labels
+from lingamkit.core import _center_rows, _subscripts, default_labels
 from lingamkit.errors import (
     DimensionError,
     InvalidPermutation,
@@ -76,6 +76,34 @@ class TestCenter:
         assert Dataset(np.arange(6.0).reshape(2, 3)).labels == ("x1", "x2")
 
 
+class TestCenterRows:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_entry_is_named(self, bad):
+        x = np.random.default_rng(0).standard_normal((4, 1000))
+        x[2, 997] = bad
+        x[3, 5] = np.nan
+        with pytest.raises(NonFiniteValue) as err:
+            _center_rows(x)
+        assert str(err.value) == f"row 3, observation 998 is {bad}"
+
+    def test_constant_mask_at_large_offsets_and_adjacent_floats(self):
+        n = 1001
+        rows = [np.full(n, 1e15), np.full(n, -3.7e300), np.full(n, 0.1), np.full(n, 5e-324)]
+        for v in (1e15, -3.7e300, 0.1, 5e-324, 1.0):
+            rows.append(np.resize([v, np.nextafter(v, np.inf)], n))
+        x = np.array(rows)
+        mask = _center_rows(x)
+        assert mask.tolist() == [True] * 4 + [False] * 5
+        assert np.array_equal(x.max(axis=1) == x.min(axis=1), mask)
+
+    def test_one_off_centre_row_leaves_the_others_bit_for_bit(self):
+        x = np.array([[-0.0, 1.0, -1.0, 0.0], [1.0, -1.0, 1e-14, -0.0], [1.0, 2.0, 3.0, 5.0]])
+        kept = x[:2].copy()
+        assert not _center_rows(x).any()
+        assert x[:2].tobytes() == kept.tobytes()
+        assert x[2].tolist() == [-1.75, -0.75, 0.25, 2.25]
+
+
 class TestDataset:
     def test_values_are_read_only(self):
         ds = center([[1.0, 2.0, 3.0]])
@@ -103,7 +131,7 @@ class TestDataset:
             (np.empty((0, 1)), (), DimensionError, "need at least one variable"),
             ([[1.0, 2.0], [np.nan, 1.0]], ("x1", "x2"), NonFiniteValue, "row 2, observation 1 is nan"),
             ([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]], ("x1", "x2"), ZeroVarianceRow,
-             "row 2 has zero sample variance"),
+             "variable x2 has zero sample variance"),
             ([[1.7e308, 1.7e308, -1.7e308]], ("x1",), NonFiniteValue, "row 1 overflows when centered"),
         ],
         ids=["0-D", "1-D", "0x1", "nan", "constant-row", "overflow"],
@@ -118,6 +146,15 @@ class TestDataset:
         with pytest.raises(DimensionError) as err:
             Dataset([[1.0, 2.0], [3.0, 5.0]], ("x1",))
         assert str(err.value) == "1 labels for 2 rows"
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [(("a", "b", "a"), ["a"]), (("a", "", "c"), [""]), (("b", "", "b", ""), ["b", ""])],
+    )
+    def test_labels_must_be_distinct_and_non_empty(self, labels, bad):
+        with pytest.raises(DimensionError) as err:
+            Dataset(np.arange(2.0 * len(labels)).reshape(-1, 2), labels)
+        assert str(err.value) == f"labels must be distinct and non-empty, got {bad}"
 
     def test_row_accessor_uses_subscripts(self):
         ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])

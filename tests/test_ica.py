@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from lingamkit import (
     prune_and_order,
 )
 from lingamkit import ica
+from lingamkit.cli import main, write_dataset_csv
 from lingamkit.errors import DimensionError, NoFeasibleAssignment, RankDeficient, ZeroDiagonal
 from lingamkit.ica import _whiten
 
@@ -78,6 +80,25 @@ class TestFastIca:
         w2, c2 = fastica(ds, np.random.default_rng(7))
         assert np.array_equal(w1, w2)
         assert c1 == c2
+
+    def test_non_convergence_is_reported_after_every_restart(self, tmp_path, monkeypatch):
+        # A drift is never below 0, so no component converges and each one draws
+        # RESTARTS + 1 starting vectors; the flag reaches the model file.
+        monkeypatch.setattr(ica, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(ica, "TOLERANCE", 0.0)
+        ds = chain_dataset(200, np.random.default_rng(5))
+        rng, expected = np.random.default_rng(7), np.random.default_rng(7)
+        _, converged = fastica(ds, rng)
+        for _ in range(ds.p * (ica.RESTARTS + 1)):
+            expected.standard_normal(ds.p)
+        assert converged is False
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert ica_lingam_fit(ds, np.random.default_rng(7)).converged is False
+        write_dataset_csv(tmp_path / "x.csv", ds)
+        argv = ["fit", "--method", "ica", "--seed", "7", "--input", str(tmp_path / "x.csv"),
+                "--output", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["converged"] is False
 
 
 class TestDiagonalPermutation:
