@@ -5,9 +5,9 @@ n observation columns, re-centers, and re-runs the least-squares strength
 estimation for the given order. Every coefficient that the order allows
 gets an empirical distribution, a percentile interval with linearly
 interpolated quantiles, and a significance flag set when the interval
-excludes zero. Degenerate resamples (a constant row, a singular design,
-or an overflow in a Gram entry that a regression reads) are redrawn; more
-than ``resamples`` redraws in total raise ``TooManySingularResamples``.
+excludes zero. Degenerate resamples (a constant row, a singular design, or
+an overflow in a Gram entry or a coefficient) are redrawn; more than
+``resamples`` redraws in total raise ``TooManySingularResamples``.
 
 Two sizes come from the package's one batch budget, ``core.CHUNK_VALUES``. A
 gather chunk of ``CHUNK_VALUES // (p*n)`` resamples draws its columns with one
@@ -48,7 +48,7 @@ class EdgeInterval:
     significant: bool = field(init=False)
 
     def __post_init__(self):
-        if self.lower > self.upper:
+        if not self.lower <= self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
         object.__setattr__(self, "significant", not self.lower <= 0.0 <= self.upper)
 

@@ -107,35 +107,41 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
 def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regress each variable on all earlier ones for a ``(c, k, k)`` stack of Gram matrices
     of centered data in causal order. Returns ``(b, finite, ok)``: ``b[m, pos, :pos]``
-    holds row ``pos``'s coefficients; ``finite[m]`` is false when an entry that a
-    regression reads overflows (that member is zeroed in place), ``ok[m]`` when that or a
-    singular design leaves ``b[m]`` zero. By Cauchy interlacing one SVD of the largest
+    holds row ``pos``'s coefficients; ``finite[m]`` is false when a Gram entry overflows
+    (that member is zeroed in place), ``ok[m]`` when that or a singular design leaves
+    ``b[m]`` zero, or a coefficient is not finite. The last variable's own sum of squares
+    is never read, so it is set to 0 first. By Cauchy interlacing one SVD of the largest
     design tests all smaller ones; solves without square roots keep exactly representable
-    results exact. The last variable's own sum of squares is never read and may be inf.
-    Each member is first scaled by a power of two to a largest read entry below 1 (exact,
-    and it keeps the SVD of data near the float limit finite); every step treats each
-    member on its own, so its result does not depend on the rest of the stack.
+    results exact. Each member is first scaled by a power of two to a largest entry below 1
+    (exact, and it keeps the SVD of data near the float limit finite); every step treats
+    each member on its own, so its result does not depend on the rest of the stack.
     """
-    finite = np.isfinite(gram[:, :, :-1]).all(axis=(1, 2))
+    gram[:, -1, -1] = 0.0
+    finite = np.isfinite(gram).all(axis=(1, 2))
     gram[~finite] = 0.0
     b = np.zeros(gram.shape)
     if gram.shape[1] == 1:
         return b, finite, np.ones(len(gram), dtype=bool)
-    gram = np.ldexp(gram, -np.frexp(np.abs(gram[:, :, :-1]).max(axis=(1, 2)))[1][:, None, None])
+    gram = np.ldexp(gram, -np.frexp(np.abs(gram).max(axis=(1, 2)))[1][:, None, None])
     singvals = np.linalg.svd(gram[:, :-1, :-1], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = singvals[:, -1] / singvals[:, 0] >= RCOND_THRESHOLD
     good = gram[ok]
     for pos in range(1, gram.shape[1]):
         b[ok, pos, :pos] = np.linalg.solve(good[:, :pos, :pos], good[:, :pos, pos, None])[..., 0]
-    return b, finite, ok
+    return b, finite, ok & np.isfinite(b).all(axis=(1, 2))
 
 
-def _regress(x: np.ndarray) -> np.ndarray:
-    """``_ordered_least_squares`` on one ``k x n`` block, raising as ``multi_least_squares``."""
+def _regress(x: np.ndarray, names: list[str]) -> np.ndarray:
+    """``_ordered_least_squares`` on one ``k x n`` block with rows named by ``names``,
+    raising as ``multi_least_squares``."""
     b, finite, ok = _ordered_least_squares(_gram(x[None]))
     if not finite[0]:
         raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
+    bad = np.argwhere(~np.isfinite(b[0]))
+    if bad.size:
+        pos, col = bad[0]
+        raise NonFiniteValue(f"coefficient {names[col]} -> {names[pos]} is {b[0, pos, col]}")
     if not ok[0]:
         raise SingularDesign("predictor Gram matrix is numerically singular")
     return b[0]
@@ -144,11 +150,10 @@ def _regress(x: np.ndarray) -> np.ndarray:
 def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
     """Solve the normal equations for ``y`` on a ``k x n`` predictor matrix.
 
-    Inputs are assumed centered (no intercept term). Raises
-    ``TooFewObservations`` when ``k >= n``, ``NonFiniteValue`` when a Gram
-    entry the regression reads overflows (``y``'s own sum of squares is not
-    read) and ``SingularDesign`` when the Gram matrix's reciprocal condition
-    number falls below ``RCOND_THRESHOLD``.
+    Inputs are assumed centered (no intercept term). Raises ``TooFewObservations``
+    when ``k >= n``, ``NonFiniteValue`` when a Gram entry the regression reads or a
+    coefficient is not finite, and ``SingularDesign`` when the Gram matrix's reciprocal
+    condition number falls below ``RCOND_THRESHOLD``.
     """
     y = np.asarray(y, dtype=float)
     preds = np.atleast_2d(np.asarray(predictors, dtype=float))
@@ -157,7 +162,8 @@ def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
         raise DimensionError(f"y has length {y.size}, predictors have {n} columns")
     if k >= n:
         raise TooFewObservations(f"{k} predictors with only {n} observations")
-    return _regress(np.vstack([preds, y]))[k, :k]
+    names = [f"predictor {i + 1}" for i in range(k)] + ["y"]
+    return _regress(np.vstack([preds, y]), names)[k, :k]
 
 
 def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
@@ -171,7 +177,7 @@ def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     """
     order = _as_order(order, data.p)
     # n or more predictors are singular by rank: test only the smaller designs.
-    b = _regress(data.values[order.indices[: data.n]])
+    b = _regress(data.values[order.indices[: data.n]], [data.labels[i] for i in order.indices])
     if data.p > data.n:
         raise TooFewObservations(f"{data.p - 1} predictors with only {data.n} observations")
     pos = order.inverse().indices

@@ -28,21 +28,20 @@ from .core import (
     ConnectionMatrix,
     Dataset,
     RCOND_THRESHOLD,
+    _gram,
     find_strict_lower_permutation,
     permute_matrix,
 )
 from .errors import (
     DimensionError,
     NoFeasibleAssignment,
+    NonFiniteValue,
     RankDeficient,
     ZeroDiagonal,
 )
 
 
-# Fixed-point ICA settings. The contrast is always tanh and the scheme always
-# deflation. A component whose iteration has not converged within
-# MAX_ITERATIONS is re-initialized at random up to RESTARTS times; one that
-# exhausts them keeps its last direction and clears the converged flag.
+# Fixed-point ICA settings (tanh contrast, deflation); ``fastica`` says how they bound it.
 MAX_ITERATIONS = 1000
 TOLERANCE = 1e-6
 RESTARTS = 5
@@ -70,8 +69,9 @@ class BaselineModel:
 
 def _whiten(values: np.ndarray) -> np.ndarray:
     """Whitening transform from the eigendecomposition of the sample covariance."""
-    p, n = values.shape
-    cov = values @ values.T / n
+    cov = _gram(values) / values.shape[1]
+    if not np.isfinite(cov).all():
+        raise NonFiniteValue("sample covariance overflows: the data is too large in magnitude")
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[-1] <= 0.0 or eigvals[0] <= eigvals[-1] * RCOND_THRESHOLD:
         raise RankDeficient("sample covariance is singular; cannot whiten")
@@ -81,49 +81,42 @@ def _whiten(values: np.ndarray) -> np.ndarray:
 def fastica(data: Dataset, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Estimate a ``p x p`` unmixing matrix by deflationary fixed-point iteration.
 
-    Returns ``(unmixing, converged)``. Requires ``p <= n`` and a
-    positive definite sample covariance (``RankDeficient`` otherwise).
-    Rows of ``unmixing @ data.values`` are the estimated independent
-    components, recovered up to permutation and scaling. Every starting
-    direction is drawn from ``rng``.
+    Returns ``(unmixing, converged)``. Requires ``p <= n`` and a finite, positive definite
+    sample covariance (else ``RankDeficient`` or ``NonFiniteValue``). Rows of ``unmixing @
+    data.values`` are the estimated independent components, up to permutation and scaling.
+    Each of the ``p`` components takes up to ``RESTARTS + 1`` starts drawn from ``rng``, each
+    of up to ``MAX_ITERATIONS`` updates until the drift falls below ``TOLERANCE``; a component
+    whose last start ends unconverged keeps that direction and clears ``converged``.
     """
     if data.p > data.n:
         raise RankDeficient(f"p={data.p} exceeds n={data.n}; covariance cannot be full rank")
     whitener = _whiten(data.values)
     z = whitener @ data.values
 
-    p = data.p
-    rotation = np.zeros((p, p))
-    all_converged = True
-    for comp in range(p):
-        comp_converged = False
-        for _attempt in range(RESTARTS + 1):
-            w = rng.standard_normal(p)
-            w -= rotation[:comp].T @ (rotation[:comp] @ w)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                continue
-            w /= norm
+    rotation = np.zeros((data.p, data.p))
+    converged = True
+    for comp in range(data.p):
+        found = rotation[:comp]
+        for _start in range(RESTARTS + 1):
+            w = rng.standard_normal(data.p)
+            w -= found.T @ (found @ w)
+            w /= np.linalg.norm(w)
             for _ in range(MAX_ITERATIONS):
-                wz = w @ z
-                gwz = np.tanh(wz)
+                gwz = np.tanh(w @ z)
                 w_new = (z * gwz).mean(axis=1) - (1.0 - gwz**2).mean() * w
                 # Deflation: stay orthogonal to the components already found.
-                w_new -= rotation[:comp].T @ (rotation[:comp] @ w_new)
-                norm = np.linalg.norm(w_new)
-                if norm == 0.0:
-                    break
-                w_new /= norm
+                w_new -= found.T @ (found @ w_new)
+                w_new /= np.linalg.norm(w_new)
                 drift = abs(abs(float(w_new @ w)) - 1.0)
                 w = w_new
                 if drift < TOLERANCE:
-                    comp_converged = True
                     break
-            if comp_converged:
+            if drift < TOLERANCE:
                 break
+        else:
+            converged = False
         rotation[comp] = w
-        all_converged = all_converged and comp_converged
-    return rotation @ whitener, all_converged
+    return rotation @ whitener, converged
 
 
 def diagonal_permutation(w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from lingamkit import CausalOrder, bootstrap, bootstrap_cis, center
+from lingamkit import CausalOrder, bootstrap, bootstrap_cis, center, estimate_strengths
 from lingamkit.bootstrap import CHUNK_VALUES, EdgeInterval
 from lingamkit.core import RCOND_THRESHOLD
 from lingamkit.errors import TooFewObservations, TooManySingularResamples, ZeroVariance
@@ -23,7 +25,8 @@ class Degenerate(Exception):
 def loop_bootstrap(data, order, level, resamples, rng):
     """One resample at a time: center, then one SVD-checked solve per variable.
     A resample is redrawn when a Gram entry overflows, except the last variable's
-    own sum of squares, which no regression reads; more than ``resamples`` redraws raise.
+    own sum of squares, which no regression reads, or when a coefficient does; more
+    than ``resamples`` redraws raise.
 
     Returns ``(lower, upper, redraws)`` with the slots in the order the
     report lists its edges.
@@ -49,6 +52,8 @@ def loop_bootstrap(data, order, level, resamples, rng):
                 if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_THRESHOLD:
                     raise Degenerate
                 beta = np.linalg.solve(gram, preds @ x[seq[pos] - 1])
+                if not np.isfinite(beta).all():
+                    raise Degenerate
                 coefs.update({(seq[pos], j): c for j, c in zip(seq[:pos], beta)})
         except (ZeroVariance, Degenerate):
             redraws += 1
@@ -115,6 +120,17 @@ class TestMatchesPerResampleLoop:
         ds = center(np.vstack([x1, (x3 + x1) * 0.85e153]))
         report = assert_matches_loop(ds, CausalOrder((2, 1)), 200, seed=seed)
         assert report.singular_redraws > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_resamples_whose_coefficient_overflows_are_redrawn(self, seed):
+        # Every Gram entry a regression reads is finite, and so is the point estimate
+        # (1.4e308 to 1.5e308), but some resamples' coefficients lie past the float range.
+        a, b = np.random.default_rng(seed).standard_normal((2, 50))
+        ds = center(np.vstack([a * 1e-151, (b + a) * 1.6e157]))
+        assert np.isfinite(estimate_strengths(ds, (1, 2)).entries).all()
+        report = assert_matches_loop(ds, CausalOrder((1, 2)), 200, seed=seed)
+        assert report.singular_redraws > 0
+        assert np.isfinite([report.edges[0].lower, report.edges[0].upper]).all()
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_overflow_of_the_unread_entry_is_not_redrawn(self, seed):
@@ -242,8 +258,10 @@ class TestIntervalProperties:
 
 class TestValidationAndFailure:
     def test_interval_bounds_must_be_ordered(self):
-        with pytest.raises(ValueError, match="^lower 0.9 exceeds upper 0.1$"):
-            EdgeInterval(i=2, j=1, point=0.5, lower=0.9, upper=0.1)
+        # A NaN bound is not ordered against anything.
+        for lower, upper in ((0.9, 0.1), (math.nan, math.nan), (0.1, math.nan), (math.nan, 0.9)):
+            with pytest.raises(ValueError, match=f"^lower {lower} exceeds upper {upper}$"):
+                EdgeInterval(i=2, j=1, point=0.5, lower=lower, upper=upper)
 
     def test_rejects_bad_level_and_resamples(self):
         ds = chain_dataset(100, np.random.default_rng(0))

@@ -227,6 +227,10 @@ class TestInvariance:
                 assert new_step == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+# Two standard normal rows for the float-limit cases below.
+A, B = np.random.default_rng(0).standard_normal((2, 50))
+
+
 class TestEstimateStrengths:
     def test_single_variable_zero_matrix(self):
         ds = center([[1.0, 2.0, 4.0]])
@@ -279,6 +283,34 @@ class TestEstimateStrengths:
         order = CausalOrder((1, 2, 3))
         b = estimate_strengths(center(x * scale), order)
         assert b.entries == pytest.approx(estimate_strengths(center(x), order).entries, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, value",
+        [
+            # The unread own sum of squares of x2 is finite, but scaling it by the
+            # power of two that brings the read entries below 1 overflows.
+            (np.vstack([A * 1e-160, (B + A) * 1e153]), "inf"),
+            # The unread entry overflows; the coefficient, about -1e310, does too.
+            (np.vstack([A * 1e-155, B * 1e155]), "-inf"),
+        ],
+        ids=["scaled-unread-entry", "unread-entry-inf"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda data: estimate_strengths(data, CausalOrder((1, 2))),
+            lambda data: multi_least_squares(data.values[1], data.values[:1]),
+            lambda data: bootstrap_cis(data, CausalOrder((1, 2)), np.random.default_rng(0)),
+        ],
+        ids=["estimate_strengths", "multi_least_squares", "bootstrap_cis"],
+    )
+    def test_coefficient_past_the_float_range_raises_non_finite(self, x, value, run):
+        # Every Gram entry a regression reads is finite; the coefficient is not. Tier-1
+        # turns every warning into an error, so a numpy RuntimeWarning fails here.
+        data = Dataset(x, ("a", "b"))
+        assert np.isfinite(_gram(data.values)[0]).all()
+        with pytest.raises(NonFiniteValue, match=f"^coefficient (a|predictor 1) -> (b|y) is {value}$"):
+            run(data)
 
     def test_overflow_of_the_unread_gram_entry_is_ignored(self):
         # Only the last variable's own sum of squares overflows, and no regression

@@ -8,16 +8,24 @@ from lingamkit import (
     BaselineModel,
     CausalOrder,
     ConnectionMatrix,
+    Dataset,
     b_from_unmixing,
     center,
     diagonal_permutation,
     fastica,
+    generate,
     ica_lingam_fit,
     prune_and_order,
 )
 from lingamkit import ica
 from lingamkit.cli import main, write_dataset_csv
-from lingamkit.errors import DimensionError, NoFeasibleAssignment, RankDeficient, ZeroDiagonal
+from lingamkit.errors import (
+    DimensionError,
+    NoFeasibleAssignment,
+    NonFiniteValue,
+    RankDeficient,
+    ZeroDiagonal,
+)
 from lingamkit.ica import _whiten
 
 from helpers import CHAIN_B, brute_force_assignment, chain_dataset, linear_prune_and_order
@@ -80,6 +88,38 @@ class TestFastIca:
         w2, c2 = fastica(ds, np.random.default_rng(7))
         assert np.array_equal(w1, w2)
         assert c1 == c2
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [
+            (lambda: chain_dataset(2000, np.random.default_rng(5)), 7),
+            (lambda: generate(10, 1000, "random-choice", np.random.default_rng(1))[0], 3),
+        ],
+        ids=["chain", "random-choice"],
+    )
+    def test_convergence_on_the_first_start_draws_one_start_per_component(self, make, seed):
+        ds = make()
+        rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+        _, converged = fastica(ds, rng)
+        for _ in range(ds.p):
+            expected.standard_normal(ds.p)
+        assert converged is True
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_overflowing_covariance_raises_non_finite(self, tmp_path, capsys):
+        # Finite data whose sample covariance overflows must fail with a LingamError
+        # before eigh, which raises numpy's LinAlgError on it.
+        e = np.random.default_rng(0).standard_normal((3, 50)) ** 3
+        ds = Dataset(e * 1e160)
+        with pytest.raises(NonFiniteValue, match="^sample covariance overflows"):
+            ica_lingam_fit(ds, np.random.default_rng(0))
+        write_dataset_csv(tmp_path / "x.csv", ds)
+        argv = ["fit", "--method", "ica", "--seed", "0", "--input", str(tmp_path / "x.csv"),
+                "--output", str(tmp_path / "m.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteValue: sample covariance overflows") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
 
     def test_non_convergence_is_reported_after_every_restart(self, tmp_path, monkeypatch):
         # A drift is never below 0, so no component converges and each one draws
