@@ -14,7 +14,7 @@ gather chunk of ``CHUNK_VALUES // (p*n)`` resamples draws its columns with one
 ``rng.integers(0, n, size=(m, n))``, the same stream as m draws of size n, is
 centered in place and multiplied out by one batched matmul. A solve batch of up
 to ``CHUNK_VALUES // (p*p)`` Gram matrices goes through the kernel of
-``estimate_strengths`` in one SVD and p - 1 solves. A batch never draws more
+``estimate_strengths`` in one ``eigvalsh`` and p - 1 solves. A batch never draws more
 than are still missing, so seeded results match a one-resample-at-a-time loop
 to rounding, with the same draws, redraw count and errors.
 """

@@ -223,46 +223,32 @@ def _write_json(path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _print_edges(matrix, labels) -> None:
-    arr = np.asarray(matrix)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            if arr[i, j] != 0.0:
-                print(f"  {labels[j]} -> {labels[i]} : {arr[i, j]:.6g}")
-
-
 def _cmd_fit(args) -> int:
     data = load_csv(args.input, header=not args.no_header, variables_as_rows=args.variables_as_rows)
     if args.method == "direct":
         model = direct.fit(data)
-        order, strengths = model.order, model.strengths
-        diagnostics = tuple(tuple(sorted(step.items())) for step in model.diagnostics)
-        pruned = converged = None
-        printable = strengths
+        shown = model.strengths
+        own = {"diagnostics": tuple(tuple(sorted(step.items())) for step in model.diagnostics)}
     else:
-        baseline = ica_lingam_fit(data, np.random.default_rng(args.seed))
-        order, strengths = baseline.order, baseline.strengths
-        diagnostics = ()
-        pruned = _float_rows(baseline.pruned.entries)
-        converged = baseline.converged
-        printable = baseline.pruned
+        model = ica_lingam_fit(data, np.random.default_rng(args.seed))
+        shown = model.pruned
+        own = {"diagnostics": (), "pruned": _float_rows(model.pruned.entries), "converged": model.converged}
 
     doc = ModelDocument(
         labels=data.labels,
-        order=order.order,
-        strengths=_float_rows(strengths.entries),
-        diagnostics=diagnostics,
+        order=model.order.order,
+        strengths=_float_rows(model.strengths.entries),
         estimator=args.method,
         seed=args.seed,
         version=__version__,
-        pruned=pruned,
-        converged=converged,
+        **own,
     )
     _write_json(args.output, doc.to_dict())
     print(f"estimator: {args.method}")
-    print("causal order: " + " ".join(data.labels[s - 1] for s in order))
+    print("causal order: " + " ".join(data.labels[s - 1] for s in model.order))
     print("edges:")
-    _print_edges(printable.entries, data.labels)
+    for i, j in np.argwhere(shown.entries != 0.0):
+        print(f"  {data.labels[j]} -> {data.labels[i]} : {shown.entries[i, j]:.6g}")
     return 0
 
 

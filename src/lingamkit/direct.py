@@ -110,11 +110,13 @@ def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     holds row ``pos``'s coefficients; ``finite[m]`` is false when a Gram entry overflows
     (that member is zeroed in place), ``ok[m]`` when that or a singular design leaves
     ``b[m]`` zero, or a coefficient is not finite. The last variable's own sum of squares
-    is never read, so it is set to 0 first. By Cauchy interlacing one SVD of the largest
-    design tests all smaller ones; solves without square roots keep exactly representable
-    results exact. Each member is first scaled by a power of two to a largest entry below 1
-    (exact, and it keeps the SVD of data near the float limit finite); every step treats
-    each member on its own, so its result does not depend on the rest of the stack.
+    is never read, so it is set to 0 first. By Cauchy interlacing the eigenvalues of the
+    largest design bound those of all smaller ones, so one ``eigvalsh`` tests them all; a
+    design that underflow left indefinite fails the test. Solves without square roots keep
+    exactly representable results exact. Each member is first scaled by a power of two to
+    a largest entry below 1 (exact, and it keeps the eigenvalues of data near the float
+    limit finite); every step treats each member on its own, so its result does not depend
+    on the rest of the stack.
     """
     gram[:, -1, -1] = 0.0
     finite = np.isfinite(gram).all(axis=(1, 2))
@@ -123,9 +125,9 @@ def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     if gram.shape[1] == 1:
         return b, finite, np.ones(len(gram), dtype=bool)
     gram = np.ldexp(gram, -np.frexp(np.abs(gram).max(axis=(1, 2)))[1][:, None, None])
-    singvals = np.linalg.svd(gram[:, :-1, :-1], compute_uv=False)
+    eigvals = np.linalg.eigvalsh(gram[:, :-1, :-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = singvals[:, -1] / singvals[:, 0] >= RCOND_THRESHOLD
+        ok = eigvals[:, 0] / eigvals[:, -1] >= RCOND_THRESHOLD
     good = gram[ok]
     for pos in range(1, gram.shape[1]):
         b[ok, pos, :pos] = np.linalg.solve(good[:, :pos, :pos], good[:, :pos, pos, None])[..., 0]

@@ -69,11 +69,14 @@ class BaselineModel:
 
 def _whiten(values: np.ndarray) -> np.ndarray:
     """Whitening transform from the eigendecomposition of the sample covariance."""
-    cov = _gram(values) / values.shape[1]
-    if not np.isfinite(cov).all():
+    gram = _gram(values)
+    if not np.isfinite(gram).all():
         raise NonFiniteValue("sample covariance overflows: the data is too large in magnitude")
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[-1] <= 0.0 or eigvals[0] <= eigvals[-1] * RCOND_THRESHOLD:
+    # A Dataset row varies, so only underflow can zero its variance.
+    if (np.diagonal(gram) == 0.0).any():
+        raise NonFiniteValue("sample covariance underflows: the data is too small in magnitude")
+    eigvals, eigvecs = np.linalg.eigh(gram / values.shape[1])
+    if eigvals[0] <= eigvals[-1] * RCOND_THRESHOLD:
         raise RankDeficient("sample covariance is singular; cannot whiten")
     return (eigvecs / np.sqrt(eigvals)).T
 

@@ -32,9 +32,16 @@ from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
 def _abs_corr(cov: np.ndarray, var_a: np.ndarray, var_b) -> np.ndarray:
     """|Pearson correlation| from centered moment sums: 0 where a variance is at
-    most 0 (a constant argument, or one that cancelled), NaN where an input is NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.abs(cov) / np.sqrt(var_a * var_b)
+    most 0 (a constant argument, or one that cancelled), NaN where an input is NaN.
+    Where the variance product overflows, it is formed as ``m * 4**e`` with each
+    variance split by ``frexp`` into an even power of two, which is exact."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root = np.sqrt(var_a * var_b)
+        if np.isinf(root).any():
+            (ma, ea), (mb, eb) = np.frexp(var_a), np.frexp(var_b)
+            split = np.ldexp(np.sqrt(np.ldexp(ma * mb, (ea & 1) + (eb & 1))), (ea >> 1) + (eb >> 1))
+            root = np.where(np.isinf(root), split, root)
+        corr = np.abs(cov) / root
     return np.where((var_a <= 0.0) | (var_b <= 0.0), 0.0, corr)
 
 
@@ -47,11 +54,11 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(gram).all():
         raise NonFiniteValue("Gram matrix overflows: the data is too large in magnitude")
     var = np.diagonal(gram)
-    varies = xc.any(axis=1)
-    if (var[varies] == 0.0).any():
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coef = np.where(xc.any(axis=1), gram / var, 0.0)
+    # Only underflow gives a row that varies a variance of 0, or one so small a coefficient overflows.
+    if not np.isfinite(coef).all():
         raise NonFiniteValue("Gram matrix underflows: the data is too small in magnitude")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(varies, gram / var, 0.0)
     # Residual blocks of c candidates at once; the first slot holds g(x) until then.
     c = min(k, max(1, CHUNK_VALUES // (k * n)))
     buf = np.empty((c, k, n))

@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library code paths they check:
 plain-Python Gaussian elimination, exhaustive permutation search, and
-hand-rolled moment formulas.
+hand-rolled moment formulas. ``loop_scores`` is the one exception: it must
+match the score kernel bit for bit, so it shares the kernel's ``_abs_corr``.
 """
 
 import itertools
@@ -10,9 +11,9 @@ import math
 
 import numpy as np
 
-from lingamkit import CausalOrder, ConnectionMatrix, center, simple_residual
+from lingamkit import CausalOrder, ConnectionMatrix, center
 from lingamkit.core import _gram, find_strict_lower_permutation
-from lingamkit.errors import NonFiniteValue, ZeroVarianceRow
+from lingamkit.errors import NonFiniteValue, ZeroVariance, ZeroVarianceRow
 from lingamkit.independence import _abs_corr
 
 # The worked three-variable example model:
@@ -141,6 +142,17 @@ def _abs_corr_or_zero(a, b):
     return abs(float(da @ db)) / np.sqrt(va * vb)
 
 
+def residual(xi, xj):
+    """``(coef, xi - coef * xj)`` for ``coef = cov(xi, xj) / var(xj)``: the arithmetic of
+    ``core.simple_residual``, kept here so the oracles below do not call the package's."""
+    dj = xj - xj.mean()
+    var_j = float(dj @ dj)
+    if var_j == 0.0:
+        raise ZeroVariance("regressor has zero sample variance")
+    coef = float(dj @ (xi - xi.mean())) / var_j
+    return coef, xi - coef * xj
+
+
 def loop_t_statistic(j, active, values):
     """The tanh score of ``j`` by a per-pair numpy loop over the other active rows.
 
@@ -152,7 +164,7 @@ def loop_t_statistic(j, active, values):
     for i in sorted(active):
         if i == j:
             continue
-        _, resid = simple_residual(values[i - 1], xj)
+        _, resid = residual(values[i - 1], xj)
         total += _abs_corr_or_zero(np.tanh(resid), xj)
         total += _abs_corr_or_zero(resid, gxj)
     return total
@@ -231,7 +243,7 @@ def loop_estimate_order(data):
         order.append(subs[pick - 1])
         root = working.values[pick - 1]
         rest = [r for r in range(len(subs)) if r != pick - 1]
-        work = np.vstack([simple_residual(working.values[r], root)[1] for r in rest])
+        work = np.vstack([residual(working.values[r], root)[1] for r in rest])
         subs.pop(pick - 1)
     order.extend(subs)
     return CausalOrder(tuple(order)), tuple(diagnostics)

@@ -273,6 +273,29 @@ class TestCommands:
         assert doc.pruned is not None
         assert doc.converged is True
 
+    @pytest.mark.parametrize("method, shown", [("direct", "strengths"), ("ica", "pruned")])
+    def test_fit_prints_what_it_writes(self, tmp_path, capsys, method, shown):
+        # The printed order spells out the model's order by label, and the edges are the
+        # nonzero entries of the printed matrix, in row-major order, formatted .6g.
+        data, _ = generate(5, 2000, "dense", np.random.default_rng(4))
+        path, out = tmp_path / "d.csv", tmp_path / "m.json"
+        write_dataset_csv(path, Dataset(data.values, ("a", "b", "c", "d", "e")))
+        assert run_cli("fit", "--input", path, "--method", method, "--seed", 3, "--output", out) == 0
+        doc = ModelDocument.from_dict(json.loads(out.read_text(encoding="utf-8")))
+        edges = [
+            f"  {doc.labels[j]} -> {doc.labels[i]} : {value:.6g}"
+            for i, row in enumerate(getattr(doc, shown))
+            for j, value in enumerate(row)
+            if value != 0.0
+        ]
+        assert edges and doc.order != (1, 2, 3, 4, 5)
+        assert capsys.readouterr().out.splitlines() == [
+            f"estimator: {method}",
+            "causal order: " + " ".join(doc.labels[s - 1] for s in doc.order),
+            "edges:",
+            *edges,
+        ]
+
     def test_fit_deterministic_bytes(self, tmp_path, capsys):
         data = self.write_chain_csv(tmp_path)
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"

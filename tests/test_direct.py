@@ -90,12 +90,24 @@ class TestEstimateOrder:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
             estimate_order(center(x))
 
-    def test_underflowing_scores_raise_non_finite(self):
+    @pytest.mark.parametrize("scale", [[1e-170] * 3, [1e-160, 1e152]], ids=["zero-variance", "coefficient-overflow"])
+    def test_underflowing_scores_raise_non_finite(self, scale):
         # Finite, non-constant data whose squared deviations underflow to 0 must fail,
-        # not score every candidate 0 as a residual that centers to 0 does.
-        x = np.random.default_rng(0).standard_normal((3, 50)) * 1e-170
-        with pytest.raises(NonFiniteValue, match="underflows"):
+        # not score every candidate 0 as a residual that centers to 0 does. A variance
+        # that underflows only into the subnormal range overflows x2's coefficient on x1.
+        x = np.random.default_rng(0).standard_normal((len(scale), 50)) * np.array(scale)[:, None]
+        with pytest.raises(NonFiniteValue, match="^Gram matrix underflows"):
             estimate_order(center(x))
+
+    @pytest.mark.parametrize("other", [0, 1], ids=["proportional", "independent"])
+    def test_correlation_whose_variance_product_overflows_is_kept(self, other):
+        # The product of two finite variances overflows; each score must still count the
+        # correlation, and equal those of x1 scaled by 2**-200, which keeps it in range.
+        a, b = np.random.default_rng(0).standard_normal(50), np.random.default_rng(other).standard_normal(50)
+        model = fit(Dataset(np.vstack([a * 1e153, b * 1e47])))
+        scaled = fit(Dataset(np.vstack([a * 1e153 * 2.0**-200, b * 1e47])))
+        assert model.diagnostics == scaled.diagnostics
+        assert all(t > 0.0 for t in model.diagnostics[0].values())
 
     def test_infinite_scores_raise_non_finite(self):
         # The variances are finite, but their product underflows to 0, so a
@@ -359,6 +371,15 @@ class TestEstimateStrengths:
             assert np.array_equal(b[m], alone_b[0])
             assert (finite[m], ok[m]) == (alone_finite[0], alone_ok[0])
         assert not b[1:3].any() and b[[0, 3]][:, 1:, 0].all()
+
+    def test_design_that_underflow_left_indefinite_is_singular(self):
+        # Underflow zeroed x1's variance but not its product with x2, so the 2 x 2 design
+        # is indefinite: its singular values pass the condition test, while its leading
+        # 1 x 1 block is exactly 0 and the solve for x2 on x1 has no pivot.
+        tiny = 5e-324
+        gram = np.array([[[0.0, tiny, 0.0], [tiny, tiny, 0.0], [0.0, 0.0, 1.0]]])
+        b, finite, ok = _ordered_least_squares(gram)
+        assert finite.tolist() == [True] and ok.tolist() == [False] and not b.any()
 
     @pytest.mark.parametrize("factor, singular", [(1.001, False), (0.999, True)])
     def test_rcond_boundary(self, factor, singular):

@@ -13,6 +13,7 @@ from lingamkit import (
     center,
     diagonal_permutation,
     fastica,
+    fit,
     generate,
     ica_lingam_fit,
     prune_and_order,
@@ -106,19 +107,32 @@ class TestFastIca:
         assert converged is True
         assert rng.bit_generator.state == expected.bit_generator.state
 
-    def test_overflowing_covariance_raises_non_finite(self, tmp_path, capsys):
-        # Finite data whose sample covariance overflows must fail with a LingamError
-        # before eigh, which raises numpy's LinAlgError on it.
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            ([1e160], "overflows"),
+            ([1e-170], "underflows"),
+            ([1e-170, 1.0, 1.0], "underflows"),
+        ],
+        ids=["overflow", "underflow", "one-row-underflow"],
+    )
+    def test_covariance_outside_the_float_range_raises_non_finite(self, tmp_path, capsys, scale, message):
+        # Finite, full-rank data whose sample covariance overflows must fail with a
+        # LingamError before eigh, which raises numpy's LinAlgError on it; one with a
+        # variance that underflows to 0 is not singular, and fails as the direct fit does.
         e = np.random.default_rng(0).standard_normal((3, 50)) ** 3
-        ds = Dataset(e * 1e160)
-        with pytest.raises(NonFiniteValue, match="^sample covariance overflows"):
+        ds = Dataset(e * np.array(scale)[:, None])
+        with pytest.raises(NonFiniteValue, match=f"^sample covariance {message}"):
             ica_lingam_fit(ds, np.random.default_rng(0))
+        if message == "underflows":
+            with pytest.raises(NonFiniteValue, match="^Gram matrix underflows"):
+                fit(ds)
         write_dataset_csv(tmp_path / "x.csv", ds)
         argv = ["fit", "--method", "ica", "--seed", "0", "--input", str(tmp_path / "x.csv"),
                 "--output", str(tmp_path / "m.json")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("NonFiniteValue: sample covariance overflows") and err.count("\n") == 1
+        assert err.startswith(f"NonFiniteValue: sample covariance {message}") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
     def test_non_convergence_is_reported_after_every_restart(self, tmp_path, monkeypatch):
