@@ -52,9 +52,8 @@ class EdgeInterval:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
         object.__setattr__(self, "significant", not self.lower <= 0.0 <= self.upper)
 
-    def as_text(self, labels=None) -> str:
-        src = labels[self.j - 1] if labels else f"x{self.j}"
-        dst = labels[self.i - 1] if labels else f"x{self.i}"
+    def as_text(self, labels) -> str:
+        src, dst = labels[self.j - 1], labels[self.i - 1]
         flag = "sig" if self.significant else "ns"
         return f"{src} -> {dst} : {self.point:.6g} [{self.lower:.6g}, {self.upper:.6g}] {flag}"
 

@@ -119,8 +119,8 @@ class Dataset:
 
     Centers a C-ordered copy of ``values`` by ``_center_rows``, so the caller's array
     is untouched; rows within ``CENTERED_TOL`` of zero keep their bits, so centering is
-    idempotent. Rejects NaN or infinite entries, constant rows and labels that repeat
-    or are empty. ``labels`` default to ``x1 .. xp``.
+    idempotent. Rejects NaN or infinite entries, constant rows and labels that are not
+    a sequence of strings, repeat or are empty. ``labels`` default to ``x1 .. xp``.
     """
 
     values: np.ndarray
@@ -136,6 +136,8 @@ class Dataset:
             raise DimensionError(f"need at least two observations, got {arr.shape[1]}")
         constant = _center_rows(arr)
         labels = default_labels(len(arr)) if self.labels is None else tuple(self.labels)
+        if isinstance(self.labels, str) or not all(isinstance(s, str) for s in labels):
+            raise DimensionError(f"labels must be a sequence of strings, got {self.labels!r}")
         if len(labels) != len(arr):
             raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
         if bad := [s for s, k in Counter(labels).items() if k > 1 or s == ""]:
@@ -272,23 +274,19 @@ def permute_matrix(b: ConnectionMatrix, perm) -> ConnectionMatrix:
 def find_strict_lower_permutation(b) -> CausalOrder | None:
     """Find a permutation making ``b`` strictly lower triangular, if one exists.
 
-    Peels off rows that are exactly zero over the remaining columns,
+    Peels off rows that are exactly zero over the columns not yet peeled,
     lowest original index first, so the result is deterministic.
     Returns ``None`` when no qualifying row exists at some step.
     """
     entries = b.entries if isinstance(b, ConnectionMatrix) else np.asarray(b, dtype=float)
-    p = entries.shape[0]
     nonzero = entries != 0.0
-    counts = nonzero.sum(axis=1)
-    remaining = list(range(p))
+    counts, columns = nonzero.sum(axis=1).tolist(), nonzero.T.tolist()
     order: list[int] = []
-    while remaining:
-        pick = next((r for r in remaining if counts[r] == 0), None)
-        if pick is None:
+    for _ in range(len(counts)):
+        if 0 not in counts:
             return None
+        pick = counts.index(0)  # a peeled row's count is negative from here on
         order.append(pick + 1)
-        remaining.remove(pick)
-        for r in remaining:
-            if nonzero[r, pick]:
-                counts[r] -= 1
+        counts = [c - z for c, z in zip(counts, columns[pick])]
+        counts[pick] = -1
     return CausalOrder(tuple(order))

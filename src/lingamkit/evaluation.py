@@ -272,7 +272,7 @@ def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
     """Run the sweep; ``threads`` > 1 runs the (cell, trial) tasks on that many
     worker processes forked from the caller (POSIX ``fork``). Results are taken
     in task order, so the report is byte-identical for any worker count."""
-    if threads < 1:
+    if (threads := _integer("threads", threads)) < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     cell_specs = [(p, n) for p in grid.p_values for n in grid.n_values]
     tasks = [(grid, c, p, n, t) for c, (p, n) in enumerate(cell_specs) for t in range(grid.trials)]

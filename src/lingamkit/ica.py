@@ -140,23 +140,21 @@ def diagonal_permutation(w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     mask = w != 0.0
     cost[mask] = 1.0 / np.abs(w[mask])
     try:
-        rows, cols = linear_sum_assignment(cost)
+        _, cols = linear_sum_assignment(cost)  # rows come back as 0..p-1
     except ValueError as exc:
         raise NoFeasibleAssignment("every row permutation hits a zero diagonal entry") from exc
-    row_order = np.empty(p, dtype=int)
-    row_order[cols] = rows
+    row_order = np.argsort(cols)
     return w[row_order], tuple(int(r) for r in row_order)
 
 
 def b_from_unmixing(w_tilde: np.ndarray) -> ConnectionMatrix:
-    """Normalize rows to a unit diagonal and form ``I - W``."""
+    """Normalize rows to a unit diagonal and form ``I - W``, whose diagonal is exactly
+    zero: ``x / x`` is exactly 1 for any finite nonzero ``x``."""
     w_tilde = np.asarray(w_tilde, dtype=float)
     diag = np.diagonal(w_tilde)
     if np.any(diag == 0.0):
         raise ZeroDiagonal("unmixing matrix has a zero diagonal entry")
-    b = np.eye(w_tilde.shape[0]) - w_tilde / diag[:, None]
-    np.fill_diagonal(b, 0.0)
-    return ConnectionMatrix(b)
+    return ConnectionMatrix(np.eye(w_tilde.shape[0]) - w_tilde / diag[:, None])
 
 
 def prune_and_order(b_hat: ConnectionMatrix) -> tuple[CausalOrder, ConnectionMatrix]:

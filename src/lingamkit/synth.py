@@ -62,10 +62,6 @@ class GroundTruthModel:
         """Strength matrix in the coordinates of the emitted dataset rows."""
         return permute_matrix(self.b_true, self.shuffle)
 
-    def observed_root(self) -> int:
-        """Emitted 1-based subscript of pre-permutation variable 1 (the first root)."""
-        return self.shuffle.order.index(1) + 1
-
     def observed_order(self) -> CausalOrder:
         """A true causal order of the emitted rows (emitted subscripts, cause first)."""
         return self.shuffle.inverse()
@@ -140,7 +136,7 @@ def sample_non_gaussian(n: int, q: float, rng: np.random.Generator) -> np.ndarra
     ``q > 1`` super-Gaussian; the result has sample mean 0 and sample
     variance 1 under the 1/n convention.
     """
-    if q <= 0:
+    if not 0 < q < np.inf:
         raise ValueError("exponent q must be positive")
     if n < 2:
         raise ValueError("need at least two samples")

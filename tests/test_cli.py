@@ -399,6 +399,25 @@ class TestCommands:
         printed = capsys.readouterr().out
         assert "->" in printed and ("sig" in printed or "ns" in printed)
 
+    def test_bootstrap_prints_what_it_writes(self, tmp_path, capsys):
+        # One line per written edge, in file order, with the CSV's own labels.
+        data, _ = generate(4, 1000, "dense", np.random.default_rng(5))
+        path, model, edges = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "e.json"
+        labels = ("w", "x", "y", "z")
+        write_dataset_csv(path, Dataset(data.values, labels))
+        assert run_cli("fit", "--input", path, "--output", model) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "bootstrap", "--input", path, "--model", model, "--resamples", 100, "--seed", 2, "--out", edges
+        ) == 0
+        written = json.loads(edges.read_text(encoding="utf-8"))["edges"]
+        assert written
+        assert capsys.readouterr().out.splitlines() == [
+            f"{labels[e['j'] - 1]} -> {labels[e['i'] - 1]} : {e['point']:.6g} "
+            f"[{e['lower']:.6g}, {e['upper']:.6g}] {'sig' if e['significant'] else 'ns'}"
+            for e in written
+        ]
+
     def test_bootstrap_label_mismatch_fails(self, tmp_path, capsys):
         data = self.write_chain_csv(tmp_path)
         run_cli("fit", "--input", data, "--output", tmp_path / "m.json")

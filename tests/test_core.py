@@ -156,6 +156,13 @@ class TestDataset:
             Dataset(np.arange(2.0 * len(labels)).reshape(-1, 2), labels)
         assert str(err.value) == f"labels must be distinct and non-empty, got {bad}"
 
+    @pytest.mark.parametrize("labels", ["ab", [1, 2.5], ("a", b"b"), ["a", None]], ids=["str", "numbers", "bytes", "none"])
+    def test_labels_must_be_strings(self, labels):
+        # A model file holds labels as a list of strings; a string is not split into characters.
+        with pytest.raises(DimensionError) as err:
+            Dataset([[1.0, 2.0], [3.0, 5.0]], labels)
+        assert str(err.value) == f"labels must be a sequence of strings, got {labels!r}"
+
     def test_row_accessor_uses_subscripts(self):
         ds = center([[1.0, 2.0, 3.0], [4.0, 6.0, 8.0]])
         assert ds.row(2).tolist() == [-2.0, 0.0, 2.0]

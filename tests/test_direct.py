@@ -484,7 +484,7 @@ def test_residual_recursion_preserves_relative_order():
         data, truth = generate(p, 20000, "dense", rng)
         full_order, _ = estimate_order(data)
 
-        root = truth.observed_root()
+        root = truth.observed_order().order[0]
         root_row = data.row(root)
         rest = [s for s in range(1, p + 1) if s != root]
         residuals = np.vstack([simple_residual(data.row(s), root_row)[1] for s in rest])

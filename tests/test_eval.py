@@ -332,6 +332,22 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError, match="threads must be at least 1"):
             run_benchmark(grid, threads=threads)
 
+    @pytest.mark.parametrize("threads", [1.5, "2", True])
+    def test_worker_count_that_is_not_a_whole_number_rejected_before_forking(self, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
+        grid = BenchmarkGrid(p_values=(2,), n_values=(10,), trials=3, estimators=("direct",))
+        with pytest.raises(ValueError, match=f"^threads must be an integer, got {re.escape(repr(threads))}$"):
+            run_benchmark(grid, threads=threads)
+
+    def test_whole_float_worker_count_reads_as_an_integer(self, tmp_path):
+        grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=2, master_seed=3)
+        assert report_bytes(run_benchmark(grid, threads=2.0), tmp_path) == report_bytes(
+            run_benchmark(grid, threads=1), tmp_path
+        )
+
     def test_more_workers_than_tasks_same_bytes(self, tmp_path):
         grid = BenchmarkGrid(p_values=(3,), n_values=(40,), trials=2, master_seed=3)
         assert report_bytes(run_benchmark(grid, threads=5), tmp_path) == report_bytes(

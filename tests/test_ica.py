@@ -208,6 +208,15 @@ class TestBFromUnmixing:
         with pytest.raises(ZeroDiagonal):
             b_from_unmixing(np.array([[0.0, 1.0], [1.0, 1.0]]))
 
+    def test_diagonal_is_exactly_zero_at_any_finite_scale(self):
+        # x / x is exactly 1 for finite nonzero x, subnormal and near-overflow included.
+        w = np.array([[5e-324, 1e-320, 0.0], [2.0, 1.7e308, 1e308], [0.0, -1.0, -3.0]])
+        assert np.diagonal(b_from_unmixing(w).entries).tobytes() == np.zeros(3).tobytes()
+
+    def test_non_finite_diagonal_rejected(self):
+        with pytest.raises(DimensionError, match="^diagonal entries must be exactly zero$"):
+            b_from_unmixing(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+
 
 def scratch_prune(entries):
     """Independent reimplementation of the prune loop: zero smallest

@@ -187,5 +187,5 @@ def test_exogenous_variable_attains_minimum_on_random_models():
         p = int(rng.integers(2, 6))
         data, truth = generate(p, 20000, "dense", rng)
         winner = find_most_independent(range(1, p + 1), data)
-        hits += winner == truth.observed_root()
+        hits += winner == truth.observed_order().order[0]
     assert hits >= 95, f"exogenous variable won only {hits}/100 trials"

@@ -79,6 +79,11 @@ class TestSampleNonGaussian:
         with pytest.raises(ValueError):
             sample_non_gaussian(1, 1.0, rng)
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_exponent(self, q):
+        with pytest.raises(ValueError, match="^exponent q must be positive$"):
+            sample_non_gaussian(5, q, np.random.default_rng(0))
+
 
 class TestGenerate:
     def test_validation(self):
