@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ``center`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import CHUNK_VALUES, Dataset, _as_order, _constant_rows, _gram, _integer, center  # noqa: F401
+from .core import CHUNK_VALUES, Dataset, _as_order, _at_least, _constant_rows, _gram, center  # noqa: F401
 from .direct import _ordered_least_squares, estimate_strengths
 from .errors import TooManySingularResamples
 
@@ -82,9 +82,7 @@ def bootstrap_cis(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    resamples = _integer("resamples", resamples)
-    if resamples < 100:
-        raise ValueError("use at least 100 resamples")
+    resamples = _at_least("resamples", resamples, 100)
     order = _as_order(order, data.p)
 
     # Raises for p > n, so every resample below has fewer predictors than n.

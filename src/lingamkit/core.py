@@ -96,17 +96,33 @@ def _integer(field: str, value, error: type[Exception] = ValueError) -> int:
     return int(value)
 
 
-def _seed(field: str, value) -> int:
-    """``value`` as a seed, a whole number of at least 0, else a ``ValueError`` naming ``field``."""
-    seed = _integer(field, value)
-    if seed < 0:
-        raise ValueError(f"{field} must not be negative, got {seed}")
-    return seed
+def _at_least(field: str, value, least: int) -> int:
+    """``value`` read by ``_integer``; a number below ``least`` raises a ``ValueError`` naming ``field``."""
+    if (number := _integer(field, value)) < least:
+        raise ValueError(f"{field} must be at least {least}, got {number}")
+    return number
+
+
+def _items(value, rule: str, error: type[Exception]) -> tuple:
+    """``tuple(value)``; a ``value`` that is not iterable raises ``error`` stating ``rule``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{rule}, got {value!r}") from None
+
+
+def _square(value) -> np.ndarray:
+    """``value`` as a float array; anything but a square matrix raises ``DimensionError``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
 
 
 def _subscripts(subs, p: int) -> list[int]:
     """Distinct 1-based subscripts, ascending; one that is not a whole number or lies
     outside ``1..p`` raises ``DimensionError``."""
+    subs = _items(subs, "an active set must be a sequence of subscripts", DimensionError)
     subs = sorted(set(_integer("subscript", s, DimensionError) for s in subs))
     if subs and not 1 <= subs[0] <= subs[-1] <= p:
         raise DimensionError(f"subscript {subs[0] if subs[0] < 1 else subs[-1]} is outside 1..{p}")
@@ -135,9 +151,10 @@ class Dataset:
         if arr.shape[1] < 2:
             raise DimensionError(f"need at least two observations, got {arr.shape[1]}")
         constant = _center_rows(arr)
-        labels = default_labels(len(arr)) if self.labels is None else tuple(self.labels)
+        rule = "labels must be a sequence of strings"
+        labels = default_labels(len(arr)) if self.labels is None else _items(self.labels, rule, DimensionError)
         if isinstance(self.labels, str) or not all(isinstance(s, str) for s in labels):
-            raise DimensionError(f"labels must be a sequence of strings, got {self.labels!r}")
+            raise DimensionError(f"{rule}, got {self.labels!r}")
         if len(labels) != len(arr):
             raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
         if bad := [s for s, k in Counter(labels).items() if k > 1 or s == ""]:
@@ -180,7 +197,8 @@ class CausalOrder:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(_integer("subscript", s, InvalidPermutation) for s in self.order)
+        order = _items(self.order, "an order must be a sequence of subscripts", InvalidPermutation)
+        order = tuple(_integer("subscript", s, InvalidPermutation) for s in order)
         p = len(order)
         if sorted(order) != list(range(1, p + 1)):
             raise InvalidPermutation(f"{order} is not a permutation of 1..{p}")
@@ -220,9 +238,7 @@ class ConnectionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+        arr = _square(np.array(self.entries, dtype=float))
         if np.any(np.diagonal(arr) != 0.0):
             raise DimensionError("diagonal entries must be exactly zero")
         arr.setflags(write=False)
@@ -258,7 +274,7 @@ def simple_residual(xi: np.ndarray, xj: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _as_order(perm, p: int) -> CausalOrder:
     if not isinstance(perm, CausalOrder):
-        perm = CausalOrder(tuple(perm))
+        perm = CausalOrder(perm)
     if perm.p != p:
         raise InvalidPermutation(f"permutation of length {perm.p} applied to p={p}")
     return perm
@@ -278,7 +294,7 @@ def find_strict_lower_permutation(b) -> CausalOrder | None:
     lowest original index first, so the result is deterministic.
     Returns ``None`` when no qualifying row exists at some step.
     """
-    entries = b.entries if isinstance(b, ConnectionMatrix) else np.asarray(b, dtype=float)
+    entries = _square(b.entries if isinstance(b, ConnectionMatrix) else b)
     nonzero = entries != 0.0
     counts, columns = nonzero.sum(axis=1).tolist(), nonzero.T.tolist()
     order: list[int] = []

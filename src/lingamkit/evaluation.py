@@ -34,7 +34,7 @@ from time import perf_counter, sleep
 import numpy as np
 
 from . import direct
-from .core import ConnectionMatrix, _as_order, _field_dict, _integer, _seed, permute_matrix
+from .core import ConnectionMatrix, _as_order, _at_least, _field_dict, _integer, permute_matrix
 from .errors import DimensionMismatch, LingamError
 from .ica import ica_lingam_fit
 from .synth import check_size, generate
@@ -84,13 +84,10 @@ class BenchmarkGrid:
             object.__setattr__(self, name, tuple(values))
         for name in ("p_values", "n_values"):
             object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
-        for name in ("trials", "master_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, least in (("trials", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), least))
         if empty := [n for n in ("p_values", "n_values", "estimators") if not getattr(self, n)]:
             raise ValueError(f"{' and '.join(empty)} must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        _seed("master_seed", self.master_seed)
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
@@ -272,8 +269,7 @@ def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
     """Run the sweep; ``threads`` > 1 runs the (cell, trial) tasks on that many
     worker processes forked from the caller (POSIX ``fork``). Results are taken
     in task order, so the report is byte-identical for any worker count."""
-    if (threads := _integer("threads", threads)) < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = _at_least("threads", threads, 1)
     cell_specs = [(p, n) for p in grid.p_values for n in grid.n_values]
     tasks = [(grid, c, p, n, t) for c, (p, n) in enumerate(cell_specs) for t in range(grid.trials)]
     if threads == 1:

@@ -29,16 +29,11 @@ from .core import (
     Dataset,
     RCOND_THRESHOLD,
     _gram,
+    _square,
     find_strict_lower_permutation,
     permute_matrix,
 )
-from .errors import (
-    DimensionError,
-    NoFeasibleAssignment,
-    NonFiniteValue,
-    RankDeficient,
-    ZeroDiagonal,
-)
+from .errors import NoFeasibleAssignment, NonFiniteValue, RankDeficient, ZeroDiagonal
 
 
 # Fixed-point ICA settings (tanh contrast, deflation); ``fastica`` says how they bound it.
@@ -132,9 +127,7 @@ def diagonal_permutation(w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     when every permutation leaves a zero on the diagonal.
     """
     from scipy.optimize import linear_sum_assignment
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {w.shape}")
+    w = _square(w)
     p = w.shape[0]
     cost = np.full((p, p), np.inf)
     mask = w != 0.0
@@ -150,7 +143,7 @@ def diagonal_permutation(w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 def b_from_unmixing(w_tilde: np.ndarray) -> ConnectionMatrix:
     """Normalize rows to a unit diagonal and form ``I - W``, whose diagonal is exactly
     zero: ``x / x`` is exactly 1 for any finite nonzero ``x``."""
-    w_tilde = np.asarray(w_tilde, dtype=float)
+    w_tilde = _square(w_tilde)
     diag = np.diagonal(w_tilde)
     if np.any(diag == 0.0):
         raise ZeroDiagonal("unmixing matrix has a zero diagonal entry")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CausalOrder, ConnectionMatrix, Dataset, permute_matrix
+from .core import CausalOrder, ConnectionMatrix, Dataset, _at_least, permute_matrix
 
 NETWORKS = ("dense", "sparse", "random-choice")
 
@@ -36,12 +36,9 @@ Q_RANGES = ((0.5, 0.8), (1.2, 2.0))
 WEIGHT_FLOOR = 0.1
 
 
-def check_size(p: int, n: int) -> None:
-    """The shape rule of ``generate``: ``ValueError`` unless p >= 1 and n >= 2."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+def check_size(p: int, n: int) -> tuple[int, int]:
+    """The shape rule of ``generate``: p and n as whole numbers of at least 1 and 2."""
+    return _at_least("p", p, 1), _at_least("n", n, 2)
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,7 @@ def random_model(p: int, network: str, rng: np.random.Generator) -> GroundTruthM
     deviation, the covariances of ``x_i`` with earlier variables are
     updated analytically before the next row is processed.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    p = _at_least("p", p, 1)
     if network not in NETWORKS:
         raise ValueError(f"network must be one of {NETWORKS}")
     mask = _lower_mask(p, network, rng)
@@ -138,8 +134,7 @@ def sample_non_gaussian(n: int, q: float, rng: np.random.Generator) -> np.ndarra
     """
     if not 0 < q < np.inf:
         raise ValueError("exponent q must be positive")
-    if n < 2:
-        raise ValueError("need at least two samples")
+    n = _at_least("n", n, 2)
     z = rng.standard_normal(n)
     e = np.sign(z) * np.abs(z) ** q
     e -= e.mean()
@@ -155,7 +150,7 @@ def generate(
     is recorded in the returned model's ``shuffle`` so metrics can be
     computed in emitted coordinates via ``observed_matrix()``.
     """
-    check_size(p, n)
+    p, n = check_size(p, n)
     model = random_model(p, network, rng)
     b = model.b_true.entries
 

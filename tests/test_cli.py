@@ -496,7 +496,7 @@ class TestCommands:
         )
         out = tmp_path / "report.json"
         assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
-        assert capsys.readouterr().err == "ValueError: n must be at least 2\n"
+        assert capsys.readouterr().err == "ValueError: n must be at least 2, got 1\n"
         assert trials == []
         assert not out.exists()
 
@@ -556,7 +556,7 @@ class TestCommands:
         # x.csv does not exist: reading it would fail as FileNotFoundError.
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv, "--seed", -1) == 1
-        assert one_error_line(capsys) == "ValueError: --seed must not be negative, got -1\n"
+        assert one_error_line(capsys) == "ValueError: --seed must be at least 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_constant_column_is_named_by_its_label(self, tmp_path, capsys):
@@ -600,7 +600,7 @@ class TestMalformedDocuments:
             ({"trials": 1.7}, "ValueError: trials must be an integer, got 1.7\n"),
             ({"trials": True}, "ValueError: trials must be an integer, got True\n"),
             ({"master_seed": "1"}, "ValueError: master_seed must be an integer, got '1'\n"),
-            ({"master_seed": -1}, "ValueError: master_seed must not be negative, got -1\n"),
+            ({"master_seed": -1}, "ValueError: master_seed must be at least 0, got -1\n"),
             ({"p_values": "10"}, "ValueError: p_values must be a list, got '10'\n"),
             ({"n_values": [40, None]}, "ValueError: n_values must be an integer, got None\n"),
             ({"estimators": "direct"}, "ValueError: estimators must be a list, got 'direct'\n"),

@@ -156,7 +156,9 @@ class TestDataset:
             Dataset(np.arange(2.0 * len(labels)).reshape(-1, 2), labels)
         assert str(err.value) == f"labels must be distinct and non-empty, got {bad}"
 
-    @pytest.mark.parametrize("labels", ["ab", [1, 2.5], ("a", b"b"), ["a", None]], ids=["str", "numbers", "bytes", "none"])
+    @pytest.mark.parametrize(
+        "labels", ["ab", [1, 2.5], ("a", b"b"), ["a", None], 5], ids=["str", "numbers", "bytes", "none", "int"]
+    )
     def test_labels_must_be_strings(self, labels):
         # A model file holds labels as a list of strings; a string is not split into characters.
         with pytest.raises(DimensionError) as err:

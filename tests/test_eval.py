@@ -136,7 +136,7 @@ class TestBenchmarkGrid:
             ({"master_seed": False}, "master_seed must be an integer, got False"),
             ({"estimators": "direct"}, "estimators must be a list, got 'direct'"),
             ({"estimators": None}, "estimators must be a list, got None"),
-            ({"master_seed": -1}, "master_seed must not be negative, got -1"),
+            ({"master_seed": -1}, "master_seed must be at least 0, got -1"),
         ],
     )
     def test_wrong_type_names_the_field(self, kwargs, message):
