@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ``center`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import CHUNK_VALUES, Dataset, _as_order, _at_least, _constant_rows, _gram, center  # noqa: F401
+from .core import CHUNK_VALUES, Dataset, _as_order, _at_least, _constant_rows, _gram, _of, _real, center  # noqa: F401
 from .direct import _ordered_least_squares, estimate_strengths
 from .errors import TooManySingularResamples
 
@@ -80,10 +80,10 @@ def bootstrap_cis(
     More than ``resamples`` degenerate resamples in total (at most a doubling of work)
     raise ``TooManySingularResamples``.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    level = _real(level, "level must lie strictly between 0 and 1", 0.0, 1.0)
     resamples = _at_least("resamples", resamples, 100)
-    order = _as_order(order, data.p)
+    order = _as_order(order, _of(Dataset, "data", data).p)
+    rng = _of(np.random.Generator, "rng", rng)
 
     # Raises for p > n, so every resample below has fewer predictors than n.
     point = estimate_strengths(data, order)

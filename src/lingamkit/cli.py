@@ -11,7 +11,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__, direct
 from .bootstrap import bootstrap_cis
-from .core import CausalOrder, Dataset, _at_least, _field_dict, _integer
+from .core import CausalOrder, Dataset, _at_least, _field_dict, _integer, _of, _real
 from .errors import (
     DimensionMismatch,
     LingamError,
@@ -130,17 +129,6 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in dataset.values.T)
 
 
-def _of(kind):
-    """A reader that passes a value of type ``kind`` and refuses any other."""
-
-    def read(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}, got {value!r}")
-        return value
-
-    return read
-
-
 def _strings(values) -> tuple[str, ...]:
     """A list of strings as a tuple; a string alone is not one."""
     if not isinstance(values, (list, tuple)) or not all(isinstance(s, str) for s in values):
@@ -148,15 +136,8 @@ def _strings(values) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _number(value) -> float:
-    """A finite number as a float; a bool or a string is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(_number(v) for v in row) for row in rows)
+    return tuple(tuple(_real(v, f"expected a finite number, got {v!r}") for v in row) for row in rows)
 
 
 def _method(value) -> str:
@@ -180,13 +161,16 @@ class ModelDocument:
     order: tuple[int, ...] = _read(lambda subs: tuple(_integer("subscript", s) for s in subs))
     strengths: tuple[tuple[float, ...], ...] = _read(_float_rows)
     diagnostics: tuple[tuple[tuple[int, float], ...], ...] = _read(
-        lambda steps: tuple(tuple((_integer("subscript", s), _number(t)) for s, t in st) for st in steps)
+        lambda steps: tuple(
+            tuple((_integer("subscript", s), _real(t, f"expected a finite number, got {t!r}")) for s, t in st)
+            for st in steps
+        )
     )
     estimator: str = _read(_method)
     seed: int = _read(lambda value: _at_least("seed", value, 0))
-    version: str = _read(_of(str))
+    version: str = _read(lambda value: _of(str, "version", value))
     pruned: tuple[tuple[float, ...], ...] | None = _read(_float_rows, None)
-    converged: bool | None = _read(_of(bool), None)
+    converged: bool | None = _read(lambda value: _of(bool, "converged", value), None)
 
     def to_dict(self) -> dict:
         return {"schema": _schema("lingamkit-model"), **_field_dict(self)}

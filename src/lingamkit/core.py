@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -103,17 +104,32 @@ def _at_least(field: str, value, least: int) -> int:
     return number
 
 
+def _of(kind: type, field: str, value):
+    """``value`` if it is a ``kind``, else a ``TypeError`` naming ``field``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _real(value, rule: str, low: float = -np.inf, high: float = np.inf) -> float:
+    """``value`` as a float if it is a real number strictly between ``low`` and ``high``;
+    a bool, any other type, NaN or a number outside raises ``ValueError(rule)``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not low < value < high:
+        raise ValueError(rule)
+    return float(value)
+
+
 def _items(value, rule: str, error: type[Exception]) -> tuple:
-    """``tuple(value)``; a ``value`` that is not iterable raises ``error`` stating ``rule``."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise error(f"{rule}, got {value!r}") from None
+    """``tuple(value)``; a string, or a ``value`` that is not iterable, raises ``error`` stating ``rule``."""
+    if not isinstance(value, str):
+        with suppress(TypeError):
+            return tuple(value)
+    raise error(f"{rule}, got {value!r}")
 
 
 def _square(value) -> np.ndarray:
-    """``value`` as a float array; anything but a square matrix raises ``DimensionError``."""
-    arr = np.asarray(value, dtype=float)
+    """``value`` (a ``ConnectionMatrix`` by its entries) as a square float array, else ``DimensionError``."""
+    arr = np.asarray(value.entries if isinstance(value, ConnectionMatrix) else value, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -153,7 +169,7 @@ class Dataset:
         constant = _center_rows(arr)
         rule = "labels must be a sequence of strings"
         labels = default_labels(len(arr)) if self.labels is None else _items(self.labels, rule, DimensionError)
-        if isinstance(self.labels, str) or not all(isinstance(s, str) for s in labels):
+        if not all(isinstance(s, str) for s in labels):
             raise DimensionError(f"{rule}, got {self.labels!r}")
         if len(labels) != len(arr):
             raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
@@ -206,7 +222,7 @@ class CausalOrder:
 
     @classmethod
     def identity(cls, p: int) -> "CausalOrder":
-        return cls(tuple(range(1, p + 1)))
+        return cls(tuple(range(1, _at_least("p", p, 1) + 1)))
 
     @property
     def p(self) -> int:
@@ -282,7 +298,7 @@ def _as_order(perm, p: int) -> CausalOrder:
 
 def permute_matrix(b: ConnectionMatrix, perm) -> ConnectionMatrix:
     """Simultaneous row and column permutation: ``out[i, j] = B[perm[i], perm[j]]``."""
-    perm = _as_order(perm, b.p)
+    perm = _as_order(perm, _of(ConnectionMatrix, "b", b).p)
     idx = perm.indices
     return ConnectionMatrix(b.entries[np.ix_(idx, idx)])
 
@@ -294,7 +310,7 @@ def find_strict_lower_permutation(b) -> CausalOrder | None:
     lowest original index first, so the result is deterministic.
     Returns ``None`` when no qualifying row exists at some step.
     """
-    entries = _square(b.entries if isinstance(b, ConnectionMatrix) else b)
+    entries = _square(b)
     nonzero = entries != 0.0
     counts, columns = nonzero.sum(axis=1).tolist(), nonzero.T.tolist()
     order: list[int] = []

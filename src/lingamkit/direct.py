@@ -34,6 +34,7 @@ from .core import (  # noqa: F401
     _as_order,
     _center_rows,
     _gram,
+    _of,
     center,
     permute_matrix,
     simple_residual,
@@ -83,7 +84,7 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
     centered residuals have rank at most n - 1 - s, so from then on (p > n)
     every residual is rounding noise and a constant one is chance; it scores 0.
     """
-    x = np.array(data.values)
+    x = np.array(_of(Dataset, "data", data).values)
     subs = list(range(1, data.p + 1))
     order: list[int] = []
     diagnostics: list[dict[int, float]] = []
@@ -177,7 +178,7 @@ def estimate_strengths(data: Dataset, order) -> ConnectionMatrix:
     at least as many predecessors as there are observations (p > n, where least
     squares is undefined).
     """
-    order = _as_order(order, data.p)
+    order = _as_order(order, _of(Dataset, "data", data).p)
     # n or more predictors are singular by rank: test only the smaller designs.
     b = _regress(data.values[order.indices[: data.n]], [data.labels[i] for i in order.indices])
     if data.p > data.n:

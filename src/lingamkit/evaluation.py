@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import os
 import threading
-from collections.abc import Iterable
 # ``ThreadPoolExecutor`` stays importable here: perfbench/spans.py swaps it by name.
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, fields
@@ -34,7 +33,7 @@ from time import perf_counter, sleep
 import numpy as np
 
 from . import direct
-from .core import ConnectionMatrix, _as_order, _at_least, _field_dict, _integer, permute_matrix
+from .core import ConnectionMatrix, _as_order, _at_least, _field_dict, _integer, _items, _of, _square, permute_matrix
 from .errors import DimensionMismatch, LingamError
 from .ica import ica_lingam_fit
 from .synth import check_size, generate
@@ -56,8 +55,7 @@ def order_errors(b_true: ConnectionMatrix, k) -> int:
 
 def frobenius_distance(b_true, b_hat) -> float:
     """``sqrt(trace((A - B)^T (A - B)))`` between two strength matrices."""
-    a = b_true.entries if isinstance(b_true, ConnectionMatrix) else np.asarray(b_true, dtype=float)
-    b = b_hat.entries if isinstance(b_hat, ConnectionMatrix) else np.asarray(b_hat, dtype=float)
+    a, b = _square(b_true), _square(b_hat)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
     diff = a - b
@@ -78,10 +76,7 @@ class BenchmarkGrid:
 
     def __post_init__(self):
         for name in ("p_values", "n_values", "estimators"):
-            values = getattr(self, name)
-            if isinstance(values, str) or not isinstance(values, Iterable):
-                raise ValueError(f"{name} must be a list, got {values!r}")
-            object.__setattr__(self, name, tuple(values))
+            object.__setattr__(self, name, _items(getattr(self, name), f"{name} must be a list", ValueError))
         for name in ("p_values", "n_values"):
             object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
         for name, least in (("trials", 1), ("master_seed", 0)):
@@ -270,7 +265,7 @@ def run_benchmark(grid: BenchmarkGrid, threads: int = 1) -> EvaluationReport:
     worker processes forked from the caller (POSIX ``fork``). Results are taken
     in task order, so the report is byte-identical for any worker count."""
     threads = _at_least("threads", threads, 1)
-    cell_specs = [(p, n) for p in grid.p_values for n in grid.n_values]
+    cell_specs = [(p, n) for p in _of(BenchmarkGrid, "grid", grid).p_values for n in grid.n_values]
     tasks = [(grid, c, p, n, t) for c, (p, n) in enumerate(cell_specs) for t in range(grid.trials)]
     if threads == 1:
         trial_maps = list(map(_run_trial, *zip(*tasks)))

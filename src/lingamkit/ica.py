@@ -29,6 +29,7 @@ from .core import (
     Dataset,
     RCOND_THRESHOLD,
     _gram,
+    _of,
     _square,
     find_strict_lower_permutation,
     permute_matrix,
@@ -86,7 +87,8 @@ def fastica(data: Dataset, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     of up to ``MAX_ITERATIONS`` updates until the drift falls below ``TOLERANCE``; a component
     whose last start ends unconverged keeps that direction and clears ``converged``.
     """
-    if data.p > data.n:
+    rng = _of(np.random.Generator, "rng", rng)
+    if _of(Dataset, "data", data).p > data.n:
         raise RankDeficient(f"p={data.p} exceeds n={data.n}; covariance cannot be full rank")
     whitener = _whiten(data.values)
     z = whitener @ data.values
@@ -157,7 +159,7 @@ def prune_and_order(b_hat: ConnectionMatrix) -> tuple[CausalOrder, ConnectionMat
     by (row, column). A permutation that exists after zeroing ``k`` entries still exists
     after zeroing more, and zeroing all ``p**2`` admits one, so bisection finds the least ``k``.
     """
-    entries = np.array(b_hat.entries)
+    entries = np.array(_of(ConnectionMatrix, "b_hat", b_hat).entries)
     rank = np.argsort(np.argsort(np.abs(entries), axis=None, kind="stable")).reshape(entries.shape)
     def orderable(k: int) -> bool:
         return find_strict_lower_permutation(np.where(rank < k, 0.0, entries)) is not None

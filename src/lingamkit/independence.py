@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 # ``simple_residual`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import CHUNK_VALUES, Dataset, _gram, _subscripts, simple_residual  # noqa: F401
+from .core import CHUNK_VALUES, Dataset, _gram, _integer, _of, _subscripts, simple_residual  # noqa: F401
 from .errors import DimensionError, NonFiniteValue, NotInActiveSet
 
 
@@ -91,15 +91,15 @@ def _scores(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def t_statistic(j: int, active, data: Dataset) -> float:
     """Nonlinear dependence of variable ``j`` on its single-regressor residuals:
     the entry for ``j`` of ``t_profile`` over the 1-based subscripts ``active``."""
-    subs = _subscripts(active, data.p)
-    if j not in subs:
-        raise NotInActiveSet(f"variable {j} is not in the active set {subs}")
-    return t_profile(subs, data)[j]
+    profile = t_profile(active, data)
+    if (j := _integer("subscript", j, NotInActiveSet)) not in profile:
+        raise NotInActiveSet(f"variable {j} is not in the active set {list(profile)}")
+    return profile[j]
 
 
 def t_profile(active, data: Dataset) -> dict[int, float]:
     """Score every active candidate; keys ascend so iteration order is fixed."""
-    subs = _subscripts(active, data.p)
+    subs = _subscripts(active, _of(Dataset, "data", data).p)
     if len(subs) < 2:
         raise DimensionError("active set needs at least two variables")
     scores, _ = _scores(data.values[np.array(subs, dtype=int) - 1])

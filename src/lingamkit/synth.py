@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CausalOrder, ConnectionMatrix, Dataset, _at_least, permute_matrix
+from .core import CausalOrder, ConnectionMatrix, Dataset, _at_least, _of, _real, permute_matrix
 
 NETWORKS = ("dense", "sparse", "random-choice")
 
@@ -92,7 +92,7 @@ def random_model(p: int, network: str, rng: np.random.Generator) -> GroundTruthM
     p = _at_least("p", p, 1)
     if network not in NETWORKS:
         raise ValueError(f"network must be one of {NETWORKS}")
-    mask = _lower_mask(p, network, rng)
+    mask = _lower_mask(p, network, _of(np.random.Generator, "rng", rng))
 
     b = np.zeros((p, p))
     n_edges = int(mask.sum())
@@ -132,10 +132,9 @@ def sample_non_gaussian(n: int, q: float, rng: np.random.Generator) -> np.ndarra
     ``q > 1`` super-Gaussian; the result has sample mean 0 and sample
     variance 1 under the 1/n convention.
     """
-    if not 0 < q < np.inf:
-        raise ValueError("exponent q must be positive")
+    q = _real(q, "exponent q must be positive", 0.0)
     n = _at_least("n", n, 2)
-    z = rng.standard_normal(n)
+    z = _of(np.random.Generator, "rng", rng).standard_normal(n)
     e = np.sign(z) * np.abs(z) ** q
     e -= e.mean()
     return e / np.sqrt(e @ e / n)

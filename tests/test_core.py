@@ -391,6 +391,10 @@ class TestCausalOrder:
     def test_accepts_whole_numbers_of_any_type(self):
         assert CausalOrder((2.0, np.int64(1), np.float64(3.0))).order == (2, 1, 3)
 
+    def test_a_string_is_not_a_sequence_of_subscripts(self):
+        with pytest.raises(InvalidPermutation, match=r"^an order must be a sequence of subscripts, got '123'$"):
+            CausalOrder("123")
+
     def test_inverse(self):
         order = CausalOrder((3, 1, 2))
         assert order.inverse().order == (2, 3, 1)

@@ -95,6 +95,8 @@ def test_requires_candidate_in_active_set():
         t_statistic(3, {1, 2}, ds)
     with pytest.raises(DimensionError):
         t_statistic(1, {1}, ds)
+    with pytest.raises(DimensionError):  # the active set is read first
+        t_statistic(3, {1}, ds)
     with pytest.raises(DimensionError, match="at least two variables"):
         t_profile(set(), ds)
 
