@@ -48,7 +48,8 @@ class EdgeInterval:
     significant: bool = field(init=False)
 
     def __post_init__(self):
-        if not self.lower <= self.upper:
+        lower = _real(self.lower, f"lower must be a finite number, got {self.lower!r}")
+        if not lower <= _real(self.upper, f"upper must be a finite number, got {self.upper!r}"):
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
         object.__setattr__(self, "significant", not self.lower <= 0.0 <= self.upper)
 

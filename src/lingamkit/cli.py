@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, direct
 from .bootstrap import bootstrap_cis
-from .core import CausalOrder, Dataset, _at_least, _field_dict, _integer, _of, _real
+from .core import CausalOrder, Dataset, _at_least, _choice, _field_dict, _integer, _items, _of, _real
 from .errors import (
     DimensionMismatch,
     LingamError,
@@ -129,21 +129,8 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in dataset.values.T)
 
 
-def _strings(values) -> tuple[str, ...]:
-    """A list of strings as a tuple; a string alone is not one."""
-    if not isinstance(values, (list, tuple)) or not all(isinstance(s, str) for s in values):
-        raise TypeError(f"expected a list of strings, got {values!r}")
-    return tuple(values)
-
-
 def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(_real(v, f"expected a finite number, got {v!r}") for v in row) for row in rows)
-
-
-def _method(value) -> str:
-    if value not in METHODS:
-        raise ValueError(f"expected one of {METHODS}, got {value!r}")
-    return value
 
 
 def _read(read, default=MISSING):
@@ -157,7 +144,7 @@ class ModelDocument:
 
     The fields, in order, are the document's keys after ``schema``."""
 
-    labels: tuple[str, ...] = _read(_strings)
+    labels: tuple[str, ...] = _read(lambda value: _items(value, "labels must be a sequence of strings", ValueError, str))
     order: tuple[int, ...] = _read(lambda subs: tuple(_integer("subscript", s) for s in subs))
     strengths: tuple[tuple[float, ...], ...] = _read(_float_rows)
     diagnostics: tuple[tuple[tuple[int, float], ...], ...] = _read(
@@ -166,7 +153,7 @@ class ModelDocument:
             for st in steps
         )
     )
-    estimator: str = _read(_method)
+    estimator: str = _read(lambda value: _choice("estimator", value, METHODS))
     seed: int = _read(lambda value: _at_least("seed", value, 0))
     version: str = _read(lambda value: _of(str, "version", value))
     pruned: tuple[tuple[float, ...], ...] | None = _read(_float_rows, None)
@@ -185,7 +172,7 @@ class ModelDocument:
             value = doc[f.name] if f.default is MISSING else doc.get(f.name)
             try:
                 values[f.name] = value if value is f.default else f.metadata["read"](value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"model field {f.name}: {exc}") from None
         return cls(**values)
 

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -112,24 +113,43 @@ def _of(kind: type, field: str, value):
 
 
 def _real(value, rule: str, low: float = -np.inf, high: float = np.inf) -> float:
-    """``value`` as a float if it is a real number strictly between ``low`` and ``high``;
-    a bool, any other type, NaN or a number outside raises ``ValueError(rule)``."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not low < value < high:
-        raise ValueError(rule)
-    return float(value)
+    """``value`` as a float if it is a real number strictly between ``low`` and ``high``; a bool,
+    any other type, NaN, a number outside or one past the float range raises ``ValueError(rule)``."""
+    with suppress(OverflowError):
+        if not isinstance(value, bool) and isinstance(value, Real) and low < (number := float(value)) < high:
+            return number
+    raise ValueError(rule)
 
 
-def _items(value, rule: str, error: type[Exception]) -> tuple:
-    """``tuple(value)``; a string, or a ``value`` that is not iterable, raises ``error`` stating ``rule``."""
-    if not isinstance(value, str):
+def _choice(field: str, value, choices: tuple[str, ...]) -> str:
+    """``value`` if it is a string in ``choices``, else a ``ValueError`` naming ``field``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{field} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _items(value, rule: str, error: type[Exception], kind: type = object) -> tuple:
+    """``tuple(value)`` if every item is a ``kind``; a string, a mapping, a ``value`` that is
+    not iterable or an item of another kind raises ``error`` stating ``rule``."""
+    if not isinstance(value, (str, Mapping)):
         with suppress(TypeError):
-            return tuple(value)
+            items = tuple(value)
+            if all(isinstance(item, kind) for item in items):
+                return items
     raise error(f"{rule}, got {value!r}")
+
+
+def _floats(value) -> np.ndarray:
+    """``value`` as a float array, a view when it is one; an entry past the float range raises ``ValueError``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _square(value) -> np.ndarray:
     """``value`` (a ``ConnectionMatrix`` by its entries) as a square float array, else ``DimensionError``."""
-    arr = np.asarray(value.entries if isinstance(value, ConnectionMatrix) else value, dtype=float)
+    arr = _floats(value.entries if isinstance(value, ConnectionMatrix) else value)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -159,7 +179,7 @@ class Dataset:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, order="C")
+        arr = np.array(_floats(self.values), order="C")
         if arr.ndim != 2:
             raise DimensionError(f"expected a 2-D matrix, got {arr.ndim}-D")
         if len(arr) < 1:
@@ -168,9 +188,7 @@ class Dataset:
             raise DimensionError(f"need at least two observations, got {arr.shape[1]}")
         constant = _center_rows(arr)
         rule = "labels must be a sequence of strings"
-        labels = default_labels(len(arr)) if self.labels is None else _items(self.labels, rule, DimensionError)
-        if not all(isinstance(s, str) for s in labels):
-            raise DimensionError(f"{rule}, got {self.labels!r}")
+        labels = default_labels(len(arr)) if self.labels is None else _items(self.labels, rule, DimensionError, str)
         if len(labels) != len(arr):
             raise DimensionError(f"{len(labels)} labels for {len(arr)} rows")
         if bad := [s for s, k in Counter(labels).items() if k > 1 or s == ""]:
@@ -254,7 +272,7 @@ class ConnectionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _square(np.array(self.entries, dtype=float))
+        arr = _square(self.entries).copy()
         if np.any(np.diagonal(arr) != 0.0):
             raise DimensionError("diagonal entries must be exactly zero")
         arr.setflags(write=False)
@@ -276,8 +294,7 @@ def simple_residual(xi: np.ndarray, xj: np.ndarray) -> tuple[float, np.ndarray]:
     ``xi - coef * xj`` has exactly zero sample covariance with ``xj``
     in exact arithmetic.
     """
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
+    xi, xj = _floats(xi), _floats(xj)
     if xi.shape != xj.shape or xi.ndim != 1:
         raise DimensionError("xi and xj must be 1-D vectors of equal length")
     dj = xj - xj.mean()
@@ -289,9 +306,7 @@ def simple_residual(xi: np.ndarray, xj: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _as_order(perm, p: int) -> CausalOrder:
-    if not isinstance(perm, CausalOrder):
-        perm = CausalOrder(perm)
-    if perm.p != p:
+    if (perm := CausalOrder(perm)).p != p:
         raise InvalidPermutation(f"permutation of length {perm.p} applied to p={p}")
     return perm
 

@@ -33,7 +33,9 @@ from .core import (  # noqa: F401
     Dataset,
     _as_order,
     _center_rows,
+    _floats,
     _gram,
+    _items,
     _of,
     center,
     permute_matrix,
@@ -64,13 +66,15 @@ class FittedModel:
     diagnostics: tuple[dict[int, float], ...]
 
     def __post_init__(self):
-        p = self.order.p
-        if len(self.diagnostics) != max(p - 1, 0):
-            raise ValueError(f"expected {p - 1} diagnostic steps, got {len(self.diagnostics)}")
-        for s, step in enumerate(self.diagnostics):
+        p = _of(CausalOrder, "order", self.order).p
+        steps = _items(self.diagnostics, "diagnostics must be a sequence of dicts", ValueError, dict)
+        if len(steps) != max(p - 1, 0):
+            raise ValueError(f"expected {p - 1} diagnostic steps, got {len(steps)}")
+        for s, step in enumerate(steps):
             if len(step) != p - s:
                 raise ValueError(f"diagnostic step {s} has {len(step)} entries, expected {p - s}")
-        if not permute_matrix(self.strengths, self.order).is_strictly_lower():
+        object.__setattr__(self, "diagnostics", steps)
+        if not permute_matrix(_of(ConnectionMatrix, "strengths", self.strengths), self.order).is_strictly_lower():
             raise ValueError("strengths are not strictly lower triangular under the order")
 
 
@@ -158,8 +162,7 @@ def multi_least_squares(y: np.ndarray, predictors: np.ndarray) -> np.ndarray:
     coefficient is not finite, and ``SingularDesign`` when the Gram matrix's reciprocal
     condition number falls below ``RCOND_THRESHOLD``.
     """
-    y = np.asarray(y, dtype=float)
-    preds = np.atleast_2d(np.asarray(predictors, dtype=float))
+    y, preds = _floats(y), np.atleast_2d(_floats(predictors))
     k, n = preds.shape
     if y.shape != (n,):
         raise DimensionError(f"y has length {y.size}, predictors have {n} columns")

@@ -33,7 +33,7 @@ from time import perf_counter, sleep
 import numpy as np
 
 from . import direct
-from .core import ConnectionMatrix, _as_order, _at_least, _field_dict, _integer, _items, _of, _square, permute_matrix
+from .core import ConnectionMatrix, _as_order, _at_least, _choice, _field_dict, _integer, _items, _of, _square, permute_matrix
 from .errors import DimensionMismatch, LingamError
 from .ica import ica_lingam_fit
 from .synth import check_size, generate
@@ -43,14 +43,12 @@ ESTIMATORS = ("direct", "ica_baseline")
 
 def order_errors(b_true: ConnectionMatrix, k) -> int:
     """Count true edges that point backwards under the estimated order ``k``."""
-    if not isinstance(b_true, ConnectionMatrix):
-        b_true = ConnectionMatrix(b_true)
+    b_true = ConnectionMatrix(_square(b_true))
     try:
         k = _as_order(k, b_true.p)
     except LingamError as exc:
         raise DimensionMismatch(str(exc)) from exc
-    permuted = permute_matrix(b_true, k)
-    return int(np.count_nonzero(np.triu(permuted.entries, k=1)))
+    return int(np.count_nonzero(np.triu(permute_matrix(b_true, k).entries, k=1)))
 
 
 def frobenius_distance(b_true, b_hat) -> float:
@@ -77,15 +75,13 @@ class BenchmarkGrid:
     def __post_init__(self):
         for name in ("p_values", "n_values", "estimators"):
             object.__setattr__(self, name, _items(getattr(self, name), f"{name} must be a list", ValueError))
+        object.__setattr__(self, "estimators", tuple(_choice("estimators", e, ESTIMATORS) for e in self.estimators))
         for name in ("p_values", "n_values"):
             object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
         for name, least in (("trials", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _at_least(name, getattr(self, name), least))
         if empty := [n for n in ("p_values", "n_values", "estimators") if not getattr(self, n)]:
             raise ValueError(f"{' and '.join(empty)} must be non-empty")
-        unknown = [e for e in self.estimators if e not in ESTIMATORS]
-        if unknown:
-            raise ValueError(f"unknown estimators {unknown}; choose from {ESTIMATORS}")
         if len(set(self.estimators)) < len(self.estimators):
             raise ValueError(f"estimators must not repeat a name, got {list(self.estimators)}")
         check_size(min(self.p_values), min(self.n_values))

@@ -59,7 +59,7 @@ class BaselineModel:
     converged: bool
 
     def __post_init__(self):
-        if not permute_matrix(self.pruned, self.order).is_strictly_lower():
+        if not permute_matrix(_of(ConnectionMatrix, "pruned", self.pruned), self.order).is_strictly_lower():
             raise ValueError("pruned matrix is not strictly lower triangular under the order")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CausalOrder, ConnectionMatrix, Dataset, _at_least, _of, _real, permute_matrix
+from .core import CausalOrder, ConnectionMatrix, Dataset, _at_least, _choice, _of, _real, permute_matrix
 
 NETWORKS = ("dense", "sparse", "random-choice")
 
@@ -90,9 +90,7 @@ def random_model(p: int, network: str, rng: np.random.Generator) -> GroundTruthM
     updated analytically before the next row is processed.
     """
     p = _at_least("p", p, 1)
-    if network not in NETWORKS:
-        raise ValueError(f"network must be one of {NETWORKS}")
-    mask = _lower_mask(p, network, _of(np.random.Generator, "rng", rng))
+    mask = _lower_mask(p, _choice("network", network, NETWORKS), _of(np.random.Generator, "rng", rng))
 
     b = np.zeros((p, p))
     n_edges = int(mask.sum())

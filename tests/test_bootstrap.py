@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,9 +259,15 @@ class TestIntervalProperties:
 
 class TestValidationAndFailure:
     def test_interval_bounds_must_be_ordered(self):
-        # A NaN bound is not ordered against anything.
-        for lower, upper in ((0.9, 0.1), (math.nan, math.nan), (0.1, math.nan), (math.nan, 0.9)):
-            with pytest.raises(ValueError, match=f"^lower {lower} exceeds upper {upper}$"):
+        with pytest.raises(ValueError, match="^lower 0.9 exceeds upper 0.1$"):
+            EdgeInterval(i=2, j=1, point=0.5, lower=0.9, upper=0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400, "0.1", None, True],
+                             ids=["nan", "inf", "10**400", "str", "None", "True"])
+    def test_interval_bounds_must_be_finite_numbers(self, bad):
+        # NaN, an infinity or a value that is not a real number is refused before the order test.
+        for lower, upper, field in ((bad, 0.9, "lower"), (0.1, bad, "upper"), (bad, bad, "lower")):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {re.escape(repr(bad))}$"):
                 EdgeInterval(i=2, j=1, point=0.5, lower=lower, upper=upper)
 
     def test_rejects_bad_level_and_resamples(self):

@@ -176,7 +176,7 @@ def test_square_matrix_arguments_refuse_other_shapes(call, shape):
 
 
 # One of each kind of wrong argument: a string, None, a bool, NaN, an infinity, a negative
-# number, a 0-d array, a 3-d array, a dict and a ragged list.
+# number, a 0-d array, a 3-d array, a dict, a ragged list and an array of names.
 BAD_VALUES = {
     "str": "x",
     "None": None,
@@ -188,30 +188,41 @@ BAD_VALUES = {
     "3-d": np.ones((2, 2, 2)),
     "dict": {"a": 1},
     "ragged": [[1.0, 2.0], [3.0]],
+    "names": np.array(["direct", "dense"]),
 }
 
 # A matrix argument's rule: numpy refuses what it cannot read as floats with a ValueError
 # (or, for a dict, its own TypeError), and the shape rule raises a DimensionError.
 MATRIX = (DimensionError, ValueError, TypeError)
+# A name argument's rule: a ValueError whose message begins "<argument> must be ".
+NAME = (ValueError,)
 RNG = np.random.default_rng(0)
 W = np.array([[2.0, 0.0, 0.5], [1.0, 4.0, 0.0], [0.0, 0.3, 1.0]])
 SQUARE = np.zeros((3, 3))
 
+MODEL = fit(DATA)
+
 # Export: (callable, {argument: (a value it accepts, the class a wrong one raises)}). Each
-# call replaces one argument of a call that succeeds. Result types are built by the package
-# from values it has already read, so their rows name no argument.
+# call replaces one argument of a call that succeeds. A result type's row names the fields
+# its own checks read, and its callable fixes the others; result types without a check are
+# built by the package from values it has already read, so their rows name no argument.
+# An interval's lower bound has no row: every real number, -1 too, is one.
 CONTRACT = {
-    "BaselineModel": (BaselineModel, {}),
+    "BaselineModel": (lambda order, pruned: BaselineModel(order, CHAIN_B, pruned, converged=True), {
+        "order": (CausalOrder((1, 2, 3)), InvalidPermutation), "pruned": (CHAIN_B, TypeError)}),
     "BenchmarkGrid": (BenchmarkGrid, {
         "p_values": ([2], ValueError), "n_values": ([10], ValueError), "trials": (1, ValueError),
-        "estimators": (["direct"], ValueError), "master_seed": (0, ValueError)}),
+        "estimators": (["direct"], NAME), "master_seed": (0, ValueError)}),
     "BootstrapReport": (BootstrapReport, {}),
     "CausalOrder": (CausalOrder, {"order": ((2, 1, 3), InvalidPermutation)}),
     "ConnectionMatrix": (ConnectionMatrix, {"entries": (CHAIN_B.entries, MATRIX)}),
     "Dataset": (Dataset, {"values": (DATA.values, MATRIX), "labels": (("a", "b", "c"), DimensionError)}),
-    "EdgeInterval": (EdgeInterval, {}),
+    "EdgeInterval": (lambda upper: EdgeInterval(i=2, j=1, point=0.5, lower=0.1, upper=upper), {
+        "upper": (0.9, ValueError)}),
     "EvaluationReport": (EvaluationReport, {}),
-    "FittedModel": (FittedModel, {}),
+    "FittedModel": (FittedModel, {
+        "order": (MODEL.order, TypeError), "strengths": (MODEL.strengths, TypeError),
+        "diagnostics": (MODEL.diagnostics, ValueError)}),
     "GroundTruthModel": (GroundTruthModel, {}),
     "b_from_unmixing": (b_from_unmixing, {"w_tilde": (W, MATRIX)}),
     "bootstrap_cis": (bootstrap_cis, {
@@ -229,14 +240,14 @@ CONTRACT = {
     "fit": (fit, {"data": (DATA, TypeError)}),
     "frobenius_distance": (frobenius_distance, {"b_true": (CHAIN_B, MATRIX), "b_hat": (SQUARE, MATRIX)}),
     "generate": (generate, {
-        "p": (3, ValueError), "n": (20, ValueError), "network": ("dense", ValueError), "rng": (RNG, TypeError)}),
+        "p": (3, ValueError), "n": (20, ValueError), "network": ("dense", NAME), "rng": (RNG, TypeError)}),
     "ica_lingam_fit": (ica_lingam_fit, {"data": (DATA, TypeError), "rng": (RNG, TypeError)}),
     "multi_least_squares": (multi_least_squares, {
         "y": (DATA.values[2], MATRIX), "predictors": (DATA.values[:2], MATRIX)}),
     "order_errors": (order_errors, {"b_true": (CHAIN_B, MATRIX), "k": ((1, 2, 3), DimensionMismatch)}),
     "permute_matrix": (permute_matrix, {"b": (CHAIN_B, TypeError), "perm": ((3, 1, 2), InvalidPermutation)}),
     "prune_and_order": (prune_and_order, {"b_hat": (CHAIN_B, TypeError)}),
-    "random_model": (random_model, {"p": (3, ValueError), "network": ("sparse", ValueError), "rng": (RNG, TypeError)}),
+    "random_model": (random_model, {"p": (3, ValueError), "network": ("sparse", NAME), "rng": (RNG, TypeError)}),
     "run_benchmark": (run_benchmark, {"grid": (BenchmarkGrid(**GRID), TypeError), "threads": (1, ValueError)}),
     "sample_non_gaussian": (sample_non_gaussian, {"n": (20, ValueError), "q": (1.5, ValueError), "rng": (RNG, TypeError)}),
     "simple_residual": (simple_residual, {"xi": (DATA.values[1], MATRIX), "xj": (DATA.values[0], MATRIX)}),
@@ -253,9 +264,10 @@ def test_the_contract_has_one_row_per_export():
 @pytest.mark.parametrize("export", [name for name, (_, arguments) in CONTRACT.items() if arguments])
 def test_a_wrong_argument_raises_its_rule_class_where_it_enters(export):
     # Each argument in turn takes each bad value, except a value that is its default. The
-    # call must raise the argument's rule class, and a TypeError must name the argument;
-    # the one exception is numpy's own for a dict where a matrix belongs, which already
-    # has the rule's class. The list names each argument, value and what it raised.
+    # call must raise the argument's rule class, and a TypeError, or a name argument's
+    # ValueError, must name the argument; the one exception is numpy's own TypeError for a
+    # dict where a matrix belongs, which already has the rule's class. The list names each
+    # argument, value and what it raised.
     call, arguments = CONTRACT[export]
     good = {name: value for name, (value, _) in arguments.items()}
     call(**good)
@@ -269,10 +281,37 @@ def test_a_wrong_argument_raises_its_rule_class_where_it_enters(export):
                 call(**{**good, name: bad})
             except Exception as exc:
                 text = str(exc)
-                named = (not isinstance(exc, TypeError) or text.startswith(f"{name} must be a ")
+                named = (text.startswith(f"{name} must be ") if rule is NAME
+                         else not isinstance(exc, TypeError) or text.startswith(f"{name} must be a ")
                          or rule is MATRIX and text.startswith("float() argument"))
                 if not isinstance(exc, rule) or not named:
                     defects.append((name, label, f"{type(exc).__name__}: {text}"))
             else:
                 defects.append((name, label, "returned"))
     assert defects == []
+
+
+def with_huge_entry(value):
+    """``value`` (a ``ConnectionMatrix`` by its entries) as an object array whose first entry
+    is an int past the float range."""
+    entries = np.array(getattr(value, "entries", value), dtype=object)
+    entries.flat[0] = 10**400
+    return entries
+
+
+PAST_THE_FLOAT_RANGE = [
+    (export, name) for export, (_, arguments) in CONTRACT.items() for name, (_, rule) in arguments.items()
+    if rule is MATRIX
+] + [("bootstrap_cis", "level"), ("EdgeInterval", "upper"), ("sample_non_gaussian", "q")]
+
+
+@pytest.mark.parametrize("export, name", PAST_THE_FLOAT_RANGE, ids=[f"{e}-{n}" for e, n in PAST_THE_FLOAT_RANGE])
+def test_a_number_past_the_float_range_raises_a_value_error(export, name):
+    # 10**400 is an int no float holds; numpy and float() raise OverflowError for it. A
+    # matrix argument takes it alone and as one entry, a real-number argument alone.
+    call, arguments = CONTRACT[export]
+    good = {key: value for key, (value, _) in arguments.items()}
+    bad_values = [10**400, with_huge_entry(good[name])] if arguments[name][1] is MATRIX else [10**400]
+    for bad in bad_values:
+        with pytest.raises(ValueError):
+            call(**{**good, name: bad})

@@ -604,8 +604,8 @@ class TestMalformedDocuments:
             ({"p_values": "10"}, "ValueError: p_values must be a list, got '10'\n"),
             ({"n_values": [40, None]}, "ValueError: n_values must be an integer, got None\n"),
             ({"estimators": "direct"}, "ValueError: estimators must be a list, got 'direct'\n"),
-            ({"estimators": [["direct"]]}, "ValueError: unknown estimators [['direct']]; "
-                                           "choose from ('direct', 'ica_baseline')\n"),
+            ({"estimators": [["direct"]]}, "ValueError: estimators must be one of ('direct', 'ica_baseline'), "
+                                           "got ['direct']\n"),
             ({"estimators": ["direct", "direct"]}, "ValueError: estimators must not repeat a name, "
                                                    "got ['direct', 'direct']\n"),
             ({"estimators": []}, "ValueError: estimators must be non-empty\n"),
@@ -655,7 +655,8 @@ class TestMalformedDocuments:
          ("order", ["2", "3", "1"]), ("seed", True), ("seed", 2.9), ("diagnostics", [[[1.5, 0.1]]]),
          ("labels", "abc"), ("labels", [1, 2, 3]), ("strengths", [["1.5", 0.0, 0.0]]),
          ("strengths", [[True, 0.0, 0.0]]), ("strengths", [[1e400, 0.0, 0.0]]), ("pruned", [[True]]),
-         ("diagnostics", [[[1, "nan"]]]), ("estimator", "bogus"), ("seed", -1)],
+         ("diagnostics", [[[1, "nan"]]]), ("estimator", "bogus"), ("seed", -1), ("labels", {"a": 1}),
+         ("estimator", ["direct"]), ("strengths", [[10**400, 0.0, 0.0]])],
     )
     def test_model_field_of_the_wrong_type_is_named(self, tmp_path, capsys, field, value):
         data = TestCommands().write_chain_csv(tmp_path, n=200)

@@ -157,10 +157,12 @@ class TestDataset:
         assert str(err.value) == f"labels must be distinct and non-empty, got {bad}"
 
     @pytest.mark.parametrize(
-        "labels", ["ab", [1, 2.5], ("a", b"b"), ["a", None], 5], ids=["str", "numbers", "bytes", "none", "int"]
+        "labels", ["ab", [1, 2.5], ("a", b"b"), ["a", None], 5, {"a": 1, "b": 2}],
+        ids=["str", "numbers", "bytes", "none", "int", "mapping"],
     )
     def test_labels_must_be_strings(self, labels):
-        # A model file holds labels as a list of strings; a string is not split into characters.
+        # A model file holds labels as a list of strings; a string is not split into characters,
+        # nor a mapping read as its keys.
         with pytest.raises(DimensionError) as err:
             Dataset([[1.0, 2.0], [3.0, 5.0]], labels)
         assert str(err.value) == f"labels must be a sequence of strings, got {labels!r}"
