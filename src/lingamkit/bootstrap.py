@@ -33,7 +33,8 @@ from .errors import TooManySingularResamples
 
 @dataclass(frozen=True)
 class EdgeInterval:
-    """Interval for the edge ``x_j -> x_i`` (1-based subscripts).
+    """Interval for the edge ``x_j -> x_i`` (1-based subscripts, read as whole numbers of at
+    least 1; the three numbers are read as finite floats).
 
     ``significant`` is derived: it holds exactly when 0 lies outside
     ``[lower, upper]``. For percentile intervals the point estimate
@@ -48,8 +49,12 @@ class EdgeInterval:
     significant: bool = field(init=False)
 
     def __post_init__(self):
-        lower = _real(self.lower, f"lower must be a finite number, got {self.lower!r}")
-        if not lower <= _real(self.upper, f"upper must be a finite number, got {self.upper!r}"):
+        for name in ("i", "j"):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), 1))
+        for name in ("point", "lower", "upper"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _real(value, f"{name} must be a finite number, got {value!r}"))
+        if not self.lower <= self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
         object.__setattr__(self, "significant", not self.lower <= 0.0 <= self.upper)
 
@@ -82,7 +87,7 @@ def bootstrap_cis(
     raise ``TooManySingularResamples``.
     """
     level = _real(level, "level must lie strictly between 0 and 1", 0.0, 1.0)
-    resamples = _at_least("resamples", resamples, 100)
+    resamples = _at_least("resamples", resamples, 100, np.iinfo(np.intp).max)  # the draw buffer's row count
     order = _as_order(order, _of(Dataset, "data", data).p)
     rng = _of(np.random.Generator, "rng", rng)
 
@@ -121,13 +126,6 @@ def bootstrap_cis(
     lower, upper = np.quantile(draws, [alpha, 1.0 - alpha], axis=0, method="linear")
 
     edges = tuple(
-        EdgeInterval(
-            i=i,
-            j=j,
-            point=float(point.entries[i - 1, j - 1]),
-            lower=float(lo),
-            upper=float(hi),
-        )
-        for (i, j), lo, hi in zip(slots, lower, upper)
+        EdgeInterval(i, j, point.entries[i - 1, j - 1], lo, hi) for (i, j), lo, hi in zip(slots, lower, upper)
     )
     return BootstrapReport(edges=edges, level=level, resamples=resamples, singular_redraws=redraws)

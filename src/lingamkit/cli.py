@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, direct
 from .bootstrap import bootstrap_cis
-from .core import CausalOrder, Dataset, _at_least, _choice, _field_dict, _integer, _items, _of, _real
+from .core import Dataset, _at_least, _choice, _field_dict, _integer, _items, _of, _real
 from .errors import (
     DimensionMismatch,
     LingamError,
@@ -129,8 +129,23 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in dataset.values.T)
 
 
+def _list(value, rule: str, read) -> tuple:
+    """``read`` of each item of one JSON list of a model file; anything else raises ``ValueError``."""
+    return tuple(map(read, _items(value, f"expected {rule}", ValueError)))
+
+
+def _number(value) -> float:
+    return _real(value, f"expected a finite number, got {value!r}")
+
+
 def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(_real(v, f"expected a finite number, got {v!r}") for v in row) for row in rows)
+    return _list(rows, "a list of rows", lambda row: _list(row, "a list of numbers", _number))
+
+
+def _score_pair(entry) -> tuple[int, float]:
+    if len(pair := _items(entry, "expected a [subscript, score] pair", ValueError)) != 2:
+        raise ValueError(f"expected a [subscript, score] pair, got {entry!r}")
+    return _integer("subscript", pair[0]), _number(pair[1])
 
 
 def _read(read, default=MISSING):
@@ -145,13 +160,10 @@ class ModelDocument:
     The fields, in order, are the document's keys after ``schema``."""
 
     labels: tuple[str, ...] = _read(lambda value: _items(value, "labels must be a sequence of strings", ValueError, str))
-    order: tuple[int, ...] = _read(lambda subs: tuple(_integer("subscript", s) for s in subs))
+    order: tuple[int, ...] = _read(lambda subs: _list(subs, "a list of subscripts", lambda s: _integer("subscript", s)))
     strengths: tuple[tuple[float, ...], ...] = _read(_float_rows)
     diagnostics: tuple[tuple[tuple[int, float], ...], ...] = _read(
-        lambda steps: tuple(
-            tuple((_integer("subscript", s), _real(t, f"expected a finite number, got {t!r}")) for s, t in st)
-            for st in steps
-        )
+        lambda steps: _list(steps, "a list of steps", lambda step: _list(step, "a list of pairs", _score_pair))
     )
     estimator: str = _read(lambda value: _choice("estimator", value, METHODS))
     seed: int = _read(lambda value: _at_least("seed", value, 0))
@@ -235,9 +247,9 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
         "version": __version__,
         "b_true": _float_rows(truth.b_true.entries),
-        "noise_stds": list(truth.noise_stds),
-        "exponents": list(truth.exponents),
-        "shuffle": list(truth.shuffle.order),
+        "noise_stds": truth.noise_stds,
+        "exponents": truth.exponents,
+        "shuffle": truth.shuffle.order,
     }
     _write_json(args.out_truth, payload)
     print(f"wrote {dataset.p} variables x {dataset.n} observations to {args.out_data}")
@@ -270,13 +282,8 @@ def _cmd_bootstrap(args) -> int:
         raise DimensionMismatch(
             f"model labels {list(doc.labels)} do not match dataset labels {list(data.labels)}"
         )
-    report = bootstrap_cis(
-        data,
-        CausalOrder(doc.order),
-        np.random.default_rng(args.seed),
-        level=args.level,
-        resamples=args.resamples,
-    )
+    rng = np.random.default_rng(args.seed)
+    report = bootstrap_cis(data, doc.order, rng, level=args.level, resamples=args.resamples)
     payload = {
         "schema": _schema("lingamkit-edges"),
         "version": __version__,
@@ -293,15 +300,6 @@ def _cmd_bootstrap(args) -> int:
     return 0
 
 
-def _add_csv_options(parser) -> None:
-    parser.add_argument("--no-header", action="store_true", help="CSV has no header row")
-    parser.add_argument(
-        "--variables-as-rows",
-        action="store_true",
-        help="CSV rows are variables instead of observations",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lingamkit",
@@ -309,20 +307,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    csv_in = argparse.ArgumentParser(add_help=False)
+    csv_in.add_argument("--input", required=True)
+    csv_in.add_argument("--no-header", action="store_true", help="CSV has no header row")
+    csv_in.add_argument(
+        "--variables-as-rows", action="store_true", help="CSV rows are variables instead of observations"
+    )
 
-    p_fit = sub.add_parser("fit", help="estimate a causal order and strengths from a CSV")
-    p_fit.add_argument("--input", required=True)
+    p_fit = sub.add_parser("fit", parents=[csv_in, seeded], help="estimate a causal order and strengths from a CSV")
     p_fit.add_argument("--method", choices=METHODS, default="direct")
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--output", required=True)
-    _add_csv_options(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)
 
-    p_sim = sub.add_parser("simulate", help="generate a synthetic dataset and its ground truth")
+    p_sim = sub.add_parser("simulate", parents=[seeded], help="generate a synthetic dataset and its ground truth")
     p_sim.add_argument("--p", type=int, required=True)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--network", choices=("dense", "sparse", "random"), default="random")
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out-data", required=True)
     p_sim.add_argument("--out-truth", required=True)
     p_sim.set_defaults(handler=_cmd_simulate)
@@ -340,14 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.set_defaults(handler=_cmd_benchmark)
 
-    p_boot = sub.add_parser("bootstrap", help="bootstrap confidence intervals for a fitted order")
-    p_boot.add_argument("--input", required=True)
+    p_boot = sub.add_parser(
+        "bootstrap", parents=[csv_in, seeded], help="bootstrap confidence intervals for a fitted order"
+    )
     p_boot.add_argument("--model", required=True)
     p_boot.add_argument("--level", type=float, default=0.99)
     p_boot.add_argument("--resamples", type=int, default=2000)
-    p_boot.add_argument("--seed", type=int, default=0)
     p_boot.add_argument("--out", required=True)
-    _add_csv_options(p_boot)
     p_boot.set_defaults(handler=_cmd_bootstrap)
 
     return parser

@@ -24,7 +24,7 @@ from collections import Counter
 from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -90,18 +90,21 @@ def _field_dict(obj) -> dict:
 
 
 def _integer(field: str, value, error: type[Exception] = ValueError) -> int:
-    """``value`` as an int if it is a whole number such as 4 or 4.0, else an ``error``
-    naming ``field``. Bools, NaN and infinities are refused."""
-    whole = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
+    """``value`` as an int if it is a whole number such as 4, 4.0 or ``Fraction(8, 2)`` (a rational
+    is read exactly), else an ``error`` naming ``field``. Bools, NaN and infinities are refused."""
+    rational = isinstance(value, Rational)
+    whole = value.denominator == 1 if rational else isinstance(value, Real) and float(value).is_integer()
     if isinstance(value, bool) or not whole:
         raise error(f"{field} must be an integer, got {value!r}")
     return int(value)
 
 
-def _at_least(field: str, value, least: int) -> int:
-    """``value`` read by ``_integer``; a number below ``least`` raises a ``ValueError`` naming ``field``."""
+def _at_least(field: str, value, least: int, most: float = np.inf) -> int:
+    """``value`` read by ``_integer``; one below ``least`` or above ``most`` raises ``ValueError`` naming ``field``."""
     if (number := _integer(field, value)) < least:
         raise ValueError(f"{field} must be at least {least}, got {number}")
+    if number > most:
+        raise ValueError(f"{field} must be at most {most}, got {number}")
     return number
 
 

@@ -127,12 +127,10 @@ def _ordered_least_squares(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     finite = np.isfinite(gram).all(axis=(1, 2))
     gram[~finite] = 0.0
     b = np.zeros(gram.shape)
-    if gram.shape[1] == 1:
-        return b, finite, np.ones(len(gram), dtype=bool)
     gram = np.ldexp(gram, -np.frexp(np.abs(gram).max(axis=(1, 2)))[1][:, None, None])
     eigvals = np.linalg.eigvalsh(gram[:, :-1, :-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = eigvals[:, 0] / eigvals[:, -1] >= RCOND_THRESHOLD
+        ok = (eigvals[:, :1] / eigvals[:, -1:] >= RCOND_THRESHOLD).all(axis=1)
     good = gram[ok]
     for pos in range(1, gram.shape[1]):
         b[ok, pos, :pos] = np.linalg.solve(good[:, :pos, :pos], good[:, :pos, pos, None])[..., 0]

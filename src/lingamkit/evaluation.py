@@ -43,7 +43,7 @@ ESTIMATORS = ("direct", "ica_baseline")
 
 def order_errors(b_true: ConnectionMatrix, k) -> int:
     """Count true edges that point backwards under the estimated order ``k``."""
-    b_true = ConnectionMatrix(_square(b_true))
+    b_true = ConnectionMatrix(b_true)
     try:
         k = _as_order(k, b_true.p)
     except LingamError as exc:

@@ -159,7 +159,7 @@ def prune_and_order(b_hat: ConnectionMatrix) -> tuple[CausalOrder, ConnectionMat
     by (row, column). A permutation that exists after zeroing ``k`` entries still exists
     after zeroing more, and zeroing all ``p**2`` admits one, so bisection finds the least ``k``.
     """
-    entries = np.array(_of(ConnectionMatrix, "b_hat", b_hat).entries)
+    entries = _of(ConnectionMatrix, "b_hat", b_hat).entries
     rank = np.argsort(np.argsort(np.abs(entries), axis=None, kind="stable")).reshape(entries.shape)
     def orderable(k: int) -> bool:
         return find_strict_lower_permutation(np.where(rank < k, 0.0, entries)) is not None

@@ -265,10 +265,29 @@ class TestValidationAndFailure:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400, "0.1", None, True],
                              ids=["nan", "inf", "10**400", "str", "None", "True"])
     def test_interval_bounds_must_be_finite_numbers(self, bad):
-        # NaN, an infinity or a value that is not a real number is refused before the order test.
-        for lower, upper, field in ((bad, 0.9, "lower"), (0.1, bad, "upper"), (bad, bad, "lower")):
+        # NaN, an infinity or a value that is not a real number is refused before the order
+        # test, in the point estimate as in either bound.
+        for point, lower, upper, field in ((0.5, bad, 0.9, "lower"), (0.5, 0.1, bad, "upper"),
+                                           (0.5, bad, bad, "lower"), (bad, 0.1, 0.9, "point")):
             with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {re.escape(repr(bad))}$"):
-                EdgeInterval(i=2, j=1, point=0.5, lower=lower, upper=upper)
+                EdgeInterval(i=2, j=1, point=point, lower=lower, upper=upper)
+
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [(0, 0, "i must be at least 1, got 0"), (2, 0, "j must be at least 1, got 0"),
+         ("a", None, "i must be an integer, got 'a'"), (2, None, "j must be an integer, got None"),
+         (2, 1.5, "j must be an integer, got 1.5")],
+        ids=["zero-zero", "zero-j", "name-none", "none-j", "half-j"],
+    )
+    def test_interval_subscripts_are_whole_numbers_of_at_least_one(self, i, j, message):
+        # Without the rule, (0, 0) printed the edge of the last label into itself.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EdgeInterval(i=i, j=j, point=0.5, lower=0.1, upper=0.9)
+
+    def test_interval_holds_its_fields_as_read(self):
+        edge = EdgeInterval(i=2.0, j=np.int64(1), point=np.float32(0.5), lower=0, upper=1)
+        assert [type(v) for v in (edge.i, edge.j, edge.point, edge.lower, edge.upper)] == [int, int] + [float] * 3
+        assert edge.as_text(("a", "b")) == "a -> b : 0.5 [0, 1] ns"
 
     def test_rejects_bad_level_and_resamples(self):
         ds = chain_dataset(100, np.random.default_rng(0))
@@ -288,6 +307,13 @@ class TestValidationAndFailure:
         for bad in (150.5, True):
             with pytest.raises(ValueError, match=f"^resamples must be an integer, got {bad}$"):
                 bootstrap_cis(ds, (1, 2, 3), np.random.default_rng(4), 0.95, bad)
+
+    def test_resample_count_past_the_draw_buffer_is_refused_before_any_work(self):
+        # 10**400 fails the rule before any allocation; numpy would refuse the buffer's shape.
+        ds = chain_dataset(100, np.random.default_rng(0))
+        most = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match=f"^resamples must be at most {most}, got {10**400}$"):
+            bootstrap_cis(ds, (3, 2, 1, 1), np.random.default_rng(4), resamples=10**400)
 
     def test_propagates_too_few_observations(self):
         rng = np.random.default_rng(1)

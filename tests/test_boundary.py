@@ -8,6 +8,7 @@ import inspect
 import io
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,22 +140,28 @@ WHOLE_NUMBER_ARGUMENTS = {
     "random_model": ("p", 1, lambda v: random_model(v, "sparse", np.random.default_rng(5))),
     "sample_non_gaussian": ("n", 2, lambda v: sample_non_gaussian(v, 1.5, np.random.default_rng(5))),
     "identity": ("p", 1, CausalOrder.identity),
+    "EdgeInterval-i": ("i", 1, lambda v: EdgeInterval(i=v, j=1, point=0.5, lower=0.1, upper=0.9)),
+    "EdgeInterval-j": ("j", 1, lambda v: EdgeInterval(i=2, j=v, point=0.5, lower=0.1, upper=0.9)),
 }
 
 
 @pytest.mark.parametrize("entry", WHOLE_NUMBER_ARGUMENTS)
 def test_whole_number_arguments_follow_one_floor_rule(entry, tmp_path, monkeypatch):
-    # A whole float reads as its int, to the bit; anything else that is not a whole
-    # number, and a whole number below the floor, raises a ValueError naming the field.
-    # argparse reads --seed as an int, so only its floor reaches the rule.
+    # A whole float or Fraction reads as its int, to the bit; anything else that is not a
+    # whole number, and a whole number below the floor, raises a ValueError naming the field.
+    # A Fraction is read exactly, so one past the float range meets the rule, not an
+    # OverflowError. argparse reads --seed as an int, so only its floor reaches the rule.
     field, least, call = WHOLE_NUMBER_ARGUMENTS[entry]
     monkeypatch.chdir(tmp_path)
     refused = [(least - 1, f"{field} must be at least {least}, got {least - 1}")]
     if entry != "--seed":
         expected = pickle.dumps(call(least + 3))
-        assert pickle.dumps(call(float(least + 3))) == expected
-        assert pickle.dumps(call(np.float64(least + 3))) == expected
-        refused += [(bad, f"{field} must be an integer, got {bad!r}") for bad in (2.5, "3", True)]
+        for whole in (float(least + 3), np.float64(least + 3), Fraction(2 * least + 6, 2)):
+            assert pickle.dumps(call(whole)) == expected
+        refused += [(bad, f"{field} must be an integer, got {bad!r}") for bad in (2.5, "3", True, Fraction(10**400, 3))]
+        # A whole number this large is read as its int, which is below the floor. Calls with
+        # Fraction(10**400, 1) itself would ask some entries for that many rows or threads.
+        refused.append((Fraction(-(10**400), 1), f"{field} must be at least {least}, got {-(10**400)}"))
     for bad, message in refused:
         with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
             call(bad)
@@ -206,7 +213,8 @@ MODEL = fit(DATA)
 # call replaces one argument of a call that succeeds. A result type's row names the fields
 # its own checks read, and its callable fixes the others; result types without a check are
 # built by the package from values it has already read, so their rows name no argument.
-# An interval's lower bound has no row: every real number, -1 too, is one.
+# An interval's lower bound and point estimate have no row: every real number, -1 too, is
+# one. test_bootstrap holds their finite-number rule.
 CONTRACT = {
     "BaselineModel": (lambda order, pruned: BaselineModel(order, CHAIN_B, pruned, converged=True), {
         "order": (CausalOrder((1, 2, 3)), InvalidPermutation), "pruned": (CHAIN_B, TypeError)}),
@@ -217,8 +225,8 @@ CONTRACT = {
     "CausalOrder": (CausalOrder, {"order": ((2, 1, 3), InvalidPermutation)}),
     "ConnectionMatrix": (ConnectionMatrix, {"entries": (CHAIN_B.entries, MATRIX)}),
     "Dataset": (Dataset, {"values": (DATA.values, MATRIX), "labels": (("a", "b", "c"), DimensionError)}),
-    "EdgeInterval": (lambda upper: EdgeInterval(i=2, j=1, point=0.5, lower=0.1, upper=upper), {
-        "upper": (0.9, ValueError)}),
+    "EdgeInterval": (lambda i, j, upper: EdgeInterval(i=i, j=j, point=0.5, lower=0.1, upper=upper), {
+        "i": (2, ValueError), "j": (1, ValueError), "upper": (0.9, ValueError)}),
     "EvaluationReport": (EvaluationReport, {}),
     "FittedModel": (FittedModel, {
         "order": (MODEL.order, TypeError), "strengths": (MODEL.strengths, TypeError),

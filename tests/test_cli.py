@@ -585,6 +585,17 @@ def one_error_line(capsys) -> str:
     return err
 
 
+# A model file's list fields read each level as a list: (field, value, the message after
+# "model field <field>: "). A string is not read as a list of characters.
+MODEL_LIST_CASES = [
+    ("order", 5, "expected a list of subscripts, got 5"),
+    ("order", "12", "expected a list of subscripts, got '12'"),
+    ("strengths", 5, "expected a list of rows, got 5"),
+    ("diagnostics", [[[1, 0.1, 7]]], "expected a [subscript, score] pair, got [1, 0.1, 7]"),
+    ("diagnostics", {"0": []}, "expected a list of steps, got {'0': []}"),
+]
+
+
 class TestMalformedDocuments:
     GRID = {**SCHEMA, "p_values": [3], "n_values": [40], "trials": 2}
 
@@ -656,7 +667,8 @@ class TestMalformedDocuments:
          ("labels", "abc"), ("labels", [1, 2, 3]), ("strengths", [["1.5", 0.0, 0.0]]),
          ("strengths", [[True, 0.0, 0.0]]), ("strengths", [[1e400, 0.0, 0.0]]), ("pruned", [[True]]),
          ("diagnostics", [[[1, "nan"]]]), ("estimator", "bogus"), ("seed", -1), ("labels", {"a": 1}),
-         ("estimator", ["direct"]), ("strengths", [[10**400, 0.0, 0.0]])],
+         ("estimator", ["direct"]), ("strengths", [[10**400, 0.0, 0.0]])]
+        + [(field, value) for field, value, _ in MODEL_LIST_CASES],
     )
     def test_model_field_of_the_wrong_type_is_named(self, tmp_path, capsys, field, value):
         data = TestCommands().write_chain_csv(tmp_path, n=200)
@@ -670,7 +682,26 @@ class TestMalformedDocuments:
         code = run_cli("bootstrap", "--input", data, "--model", tmp_path / "m.json",
                        "--out", tmp_path / "e.json")
         assert code == 1
-        assert one_error_line(capsys).startswith(f"ValueError: model field {field}: ")
+        line = one_error_line(capsys)
+        assert line.startswith(f"ValueError: model field {field}: ")
+        for pinned_field, pinned_value, body in MODEL_LIST_CASES:
+            if (pinned_field, pinned_value) == (field, value):
+                assert line == f"ValueError: model field {field}: {body}\n"
+
+    def test_a_bad_option_is_reported_before_a_bad_model_order(self, tmp_path, capsys):
+        # bootstrap_cis reads level and resamples before the order it is given.
+        data = TestCommands().write_chain_csv(tmp_path, n=200)
+        run_cli("fit", "--input", data, "--output", tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        (tmp_path / "m.json").write_text(json.dumps({**doc, "order": [1, 1, 2]}), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("bootstrap", "--input", data, "--model", tmp_path / "m.json", "--level", "2",
+                       "--out", tmp_path / "e.json")
+        assert code == 1
+        assert one_error_line(capsys) == "ValueError: level must lie strictly between 0 and 1\n"
+        code = run_cli("bootstrap", "--input", data, "--model", tmp_path / "m.json", "--out", tmp_path / "e.json")
+        assert code == 1
+        assert one_error_line(capsys) == "InvalidPermutation: (1, 1, 2) is not a permutation of 1..3\n"
 
     def test_nan_constant_in_model_is_refused(self, tmp_path, capsys):
         data = TestCommands().write_chain_csv(tmp_path, n=200)

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -382,8 +385,9 @@ class TestCausalOrder:
     @pytest.mark.parametrize(
         "order, shown",
         [((2.7, 1.2), "2.7"), (("2", "1"), "'2'"), ((True, 2), "True"), ((2, np.nan), "nan"),
-         ((2, np.float64(np.inf)), r"np\.float64\(inf\)")],
-        ids=["fraction", "string", "bool", "nan", "numpy-inf"],
+         ((2, np.float64(np.inf)), r"np\.float64\(inf\)"),
+         ((2, Fraction(10**400, 3)), re.escape(repr(Fraction(10**400, 3))))],
+        ids=["fraction", "string", "bool", "nan", "numpy-inf", "huge-fraction"],
     )
     def test_rejects_non_whole_subscripts_by_name(self, order, shown):
         # int() would truncate 2.7 and 1.2 to the permutation (2, 1).
