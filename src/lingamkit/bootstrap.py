@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ``center`` stays importable here: perfbench/spans.py wraps it by name.
-from .core import CHUNK_VALUES, Dataset, _as_order, _at_least, _constant_rows, _gram, _of, _real, center  # noqa: F401
+from .core import CHUNK_VALUES, Dataset, _as_order, _at_least, _gram, _of, _real, center  # noqa: F401
 from .direct import _ordered_least_squares, estimate_strengths
 from .errors import TooManySingularResamples
 
@@ -110,7 +110,7 @@ def bootstrap_cis(
             x = np.take(values, picks, axis=1).transpose(1, 0, 2)
             x -= x.mean(axis=2, keepdims=True)
             part = slice(start, start + len(picks))
-            gram[part], ok[part] = _gram(x), ~_constant_rows(x).any(axis=1)
+            gram[part], ok[part] = _gram(x), ~(x.max(axis=-1) == x.min(axis=-1)).any(axis=1)  # constant rows; ptp can overflow
         b, _, solved = _ordered_least_squares(gram)
         ok &= solved
         kept = int(ok.sum())

@@ -79,11 +79,6 @@ def _gram(x: np.ndarray) -> np.ndarray:
         return x @ np.swapaxes(x, -1, -2)
 
 
-def _constant_rows(x: np.ndarray) -> np.ndarray:
-    """Mask of the rows (along the last axis) whose entries are all equal; ptp can overflow."""
-    return x.max(axis=-1) == x.min(axis=-1)
-
-
 def _field_dict(obj) -> dict:
     """A dataclass instance's fields by name, in declaration order; values are not copied."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
@@ -143,9 +138,14 @@ def _items(value, rule: str, error: type[Exception], kind: type = object) -> tup
 
 
 def _floats(value) -> np.ndarray:
-    """``value`` as a float array, a view when it is one; an entry past the float range raises ``ValueError``."""
+    """``value`` as a float array, a view when it is one. An entry of a type ``_real`` refuses (a bool, a string,
+    a complex value), or one past the float range, raises ``ValueError``; a typed array is judged by its dtype."""
+    arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    for kind in dict.fromkeys(map(type, arr.flat)) if arr.dtype == object else (arr.dtype.type,):
+        if issubclass(kind, bool) or not issubclass(kind, Real):
+            raise ValueError(f"a matrix entry must be a real number, got a {kind.__name__}")
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(arr, dtype=float)
     except OverflowError as exc:
         raise ValueError(str(exc)) from None
 

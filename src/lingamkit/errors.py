@@ -73,10 +73,10 @@ class TooManySingularResamples(LingamError):
 class ParseError(LingamError):
     """CSV structure could not be parsed; carries 1-based location."""
 
-    def __init__(self, line: int, column: int, message: str | None = None):
+    def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
-        super().__init__(message or f"malformed CSV at line {line}, column {column}")
+        super().__init__(message)
 
 
 class RaggedRows(ParseError):

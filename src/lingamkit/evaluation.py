@@ -156,24 +156,18 @@ class EvaluationReport:
         so that artifacts from identical seeds are byte-identical."""
         cells = []
         for cell in self.cells:
-            all_summaries, failures = cell.summaries, cell.failures
+            summaries, failures = cell.summaries, cell.failures
             estimators = {}
             for name in self.grid.estimators:
-                results = cell.trials[name]
-                trials = []
-                for r in results:
-                    row = _field_dict(r)
+                trials = [_field_dict(r) for r in cell.trials[name]]
+                for row in [*trials, summaries[name]]:
                     seconds = row.pop("seconds")  # last, and only on request
                     if include_timings:
                         row["seconds"] = seconds
-                    trials.append(row)
-                summaries = all_summaries[name]
-                if not include_timings:
-                    summaries.pop("seconds")
                 estimators[name] = {
                     "trials": trials,
                     "failures": failures[name],
-                    "summaries": summaries,
+                    "summaries": summaries[name],
                 }
             cells.append({"p": cell.p, "n": cell.n, "estimators": estimators})
         return {

@@ -59,7 +59,10 @@ class BaselineModel:
     converged: bool
 
     def __post_init__(self):
-        if not permute_matrix(_of(ConnectionMatrix, "pruned", self.pruned), self.order).is_strictly_lower():
+        order = _of(CausalOrder, "order", self.order)
+        _of(ConnectionMatrix, "strengths", self.strengths)
+        _of(bool, "converged", self.converged)
+        if not permute_matrix(_of(ConnectionMatrix, "pruned", self.pruned), order).is_strictly_lower():
             raise ValueError("pruned matrix is not strictly lower triangular under the order")
 
 
@@ -122,7 +125,7 @@ def fastica(data: Dataset, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
 def diagonal_permutation(w: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Permute rows of ``w`` to minimize the sum of reciprocal |diagonal| entries.
 
-    Solved as a linear assignment with cost ``1/|w[r, i]]`` for placing
+    Solved as a linear assignment with cost ``1/|w[r, i]|`` for placing
     row ``r`` at diagonal slot ``i`` (infinite when the entry is zero).
     Returns the permuted matrix and the 0-based row order applied, so
     ``w_tilde[i] == w[row_order[i]]``. Raises ``NoFeasibleAssignment``

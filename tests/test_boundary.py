@@ -183,7 +183,8 @@ def test_square_matrix_arguments_refuse_other_shapes(call, shape):
 
 
 # One of each kind of wrong argument: a string, None, a bool, NaN, an infinity, a negative
-# number, a 0-d array, a 3-d array, a dict, a ragged list and an array of names.
+# number, a 0-d array, a 3-d array, a dict, a ragged list, an array of names, and a matrix
+# of digit strings and one of bools, both of which numpy would read as numbers.
 BAD_VALUES = {
     "str": "x",
     "None": None,
@@ -196,11 +197,13 @@ BAD_VALUES = {
     "dict": {"a": 1},
     "ragged": [[1.0, 2.0], [3.0]],
     "names": np.array(["direct", "dense"]),
+    "digits": [["0", "1", "2"], ["3", "0", "4"], ["5", "6", "0"]],
+    "bools": np.array([[False, True, True], [True, False, True], [True, True, False]]),
 }
 
-# A matrix argument's rule: numpy refuses what it cannot read as floats with a ValueError
-# (or, for a dict, its own TypeError), and the shape rule raises a DimensionError.
-MATRIX = (DimensionError, ValueError, TypeError)
+# A matrix argument's rule: an entry that is not a real number raises a ValueError, and the
+# shape rule raises a DimensionError.
+MATRIX = (DimensionError, ValueError)
 # A name argument's rule: a ValueError whose message begins "<argument> must be ".
 NAME = (ValueError,)
 RNG = np.random.default_rng(0)
@@ -216,8 +219,11 @@ MODEL = fit(DATA)
 # An interval's lower bound and point estimate have no row: every real number, -1 too, is
 # one. test_bootstrap holds their finite-number rule.
 CONTRACT = {
-    "BaselineModel": (lambda order, pruned: BaselineModel(order, CHAIN_B, pruned, converged=True), {
-        "order": (CausalOrder((1, 2, 3)), InvalidPermutation), "pruned": (CHAIN_B, TypeError)}),
+    # ``converged``'s default is the "True" bad value, which the test then skips for it.
+    "BaselineModel": (
+        lambda order, strengths, pruned, converged=True: BaselineModel(order, strengths, pruned, converged), {
+        "order": (CausalOrder((1, 2, 3)), TypeError), "strengths": (CHAIN_B, TypeError),
+        "pruned": (CHAIN_B, TypeError), "converged": (True, TypeError)}),
     "BenchmarkGrid": (BenchmarkGrid, {
         "p_values": ([2], ValueError), "n_values": ([10], ValueError), "trials": (1, ValueError),
         "estimators": (["direct"], NAME), "master_seed": (0, ValueError)}),
@@ -273,9 +279,8 @@ def test_the_contract_has_one_row_per_export():
 def test_a_wrong_argument_raises_its_rule_class_where_it_enters(export):
     # Each argument in turn takes each bad value, except a value that is its default. The
     # call must raise the argument's rule class, and a TypeError, or a name argument's
-    # ValueError, must name the argument; the one exception is numpy's own TypeError for a
-    # dict where a matrix belongs, which already has the rule's class. The list names each
-    # argument, value and what it raised.
+    # ValueError, must name the argument. The list names each argument, value and what it
+    # raised.
     call, arguments = CONTRACT[export]
     good = {name: value for name, (value, _) in arguments.items()}
     call(**good)
@@ -290,8 +295,7 @@ def test_a_wrong_argument_raises_its_rule_class_where_it_enters(export):
             except Exception as exc:
                 text = str(exc)
                 named = (text.startswith(f"{name} must be ") if rule is NAME
-                         else not isinstance(exc, TypeError) or text.startswith(f"{name} must be a ")
-                         or rule is MATRIX and text.startswith("float() argument"))
+                         else not isinstance(exc, TypeError) or text.startswith(f"{name} must be a "))
                 if not isinstance(exc, rule) or not named:
                     defects.append((name, label, f"{type(exc).__name__}: {text}"))
             else:
@@ -307,10 +311,12 @@ def with_huge_entry(value):
     return entries
 
 
-PAST_THE_FLOAT_RANGE = [
+MATRIX_ARGUMENTS = [
     (export, name) for export, (_, arguments) in CONTRACT.items() for name, (_, rule) in arguments.items()
     if rule is MATRIX
-] + [("bootstrap_cis", "level"), ("EdgeInterval", "upper"), ("sample_non_gaussian", "q")]
+]
+PAST_THE_FLOAT_RANGE = MATRIX_ARGUMENTS + [
+    ("bootstrap_cis", "level"), ("EdgeInterval", "upper"), ("sample_non_gaussian", "q")]
 
 
 @pytest.mark.parametrize("export, name", PAST_THE_FLOAT_RANGE, ids=[f"{e}-{n}" for e, n in PAST_THE_FLOAT_RANGE])
@@ -323,3 +329,14 @@ def test_a_number_past_the_float_range_raises_a_value_error(export, name):
     for bad in bad_values:
         with pytest.raises(ValueError):
             call(**{**good, name: bad})
+
+
+@pytest.mark.parametrize("export, name", MATRIX_ARGUMENTS, ids=[f"{e}-{n}" for e, n in MATRIX_ARGUMENTS])
+def test_a_complex_matrix_raises_a_value_error(export, name):
+    # The accepted matrix as complex numbers: numpy would drop the imaginary parts, warning
+    # only with a ComplexWarning, and go on with the real parts.
+    call, arguments = CONTRACT[export]
+    good = {key: value for key, (value, _) in arguments.items()}
+    bad = np.asarray(getattr(good[name], "entries", good[name])).astype(complex)
+    with pytest.raises(ValueError, match="^a matrix entry must be a real number, got a complex128$"):
+        call(**{**good, name: bad})

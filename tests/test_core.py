@@ -145,6 +145,25 @@ class TestDataset:
                 build()
             assert str(err.value) == message
 
+    def test_entries_must_be_real_numbers(self):
+        # An entry of any real type reads as its float, a Fraction exactly rounded; a bool, a
+        # string or a complex value, each of which numpy would read as a number, is refused.
+        reals = np.array([[Fraction(1, 3), 2, np.float64(3.5)], [np.int64(1), 2.0, 7]], dtype=object)
+        assert Dataset(reals).values.tolist() == Dataset([[1 / 3, 2.0, 3.5], [1.0, 2.0, 7.0]]).values.tolist()
+        refused = [
+            ([["1", "2", "3"], ["4", "5", "7"]], "str"),
+            ([[True, False, True], [1.0, 2.0, 4.0]], "bool"),
+            (np.array([[1.0, "2", 3.0], [4.0, 5.0, 7.0]], dtype=object), "str"),
+            ([[1.0, 2.0, 3.0], [4.0, 5.0, 7 + 0j]], "complex"),
+            ([[1.0, None, 3.0], [4.0, 5.0, 7.0]], "NoneType"),
+            (np.array([[True, False], [False, True]]), "bool"),
+            (np.array([[1.0, 2.0], [3.0, 5.0]], dtype=complex), "complex128"),
+            (np.array([["1", "2"], ["3", "5"]]), "str_"),
+        ]
+        for raw, kind in refused:
+            with pytest.raises(ValueError, match=f"^a matrix entry must be a real number, got a {kind}$"):
+                Dataset(raw)
+
     def test_label_count_must_match_the_rows(self):
         with pytest.raises(DimensionError) as err:
             Dataset([[1.0, 2.0], [3.0, 5.0]], ("x1",))

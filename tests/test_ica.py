@@ -326,6 +326,17 @@ class TestIcaLingamFit:
         with pytest.raises(ValueError, match="^pruned matrix is not strictly lower triangular"):
             BaselineModel(CausalOrder((3, 2, 1)), CHAIN_B, CHAIN_B, converged=True)
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("order", (1, 2, 3), "CausalOrder"), ("strengths", CHAIN_B.entries, "ConnectionMatrix"),
+         ("converged", "yes", "bool")],
+    )
+    def test_model_refuses_a_field_of_another_type(self, field, value, kind):
+        # A tuple order has no ``.order``, which the CLI reads when it writes the model.
+        fields = {"order": CausalOrder((1, 2, 3)), "strengths": CHAIN_B, "pruned": CHAIN_B, "converged": True}
+        with pytest.raises(TypeError, match=f"^{field} must be a {kind}, got "):
+            BaselineModel(**{**fields, field: value})
+
     def test_chain_model(self):
         ds = chain_dataset(10000, np.random.default_rng(19))
         model = ica_lingam_fit(ds, np.random.default_rng(3))
