@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, direct
 from .bootstrap import bootstrap_cis
-from .core import Dataset, _at_least, _choice, _field_dict, _integer, _items, _of, _real
+from .core import Dataset, _at_least, _choice, _field_dict, _integer, _items, _of, _real, _square
 from .errors import (
     DimensionMismatch,
     LingamError,
@@ -46,10 +46,8 @@ def _check_schema(doc, name: str) -> None:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if not isinstance(schema, dict) or schema.get("name") != name:
         raise SchemaVersionError(f"not a {name} document")
-    if schema.get("major") != SCHEMA_MAJOR:
-        raise SchemaVersionError(
-            f"unsupported major schema version {schema.get('major')} (supported: {SCHEMA_MAJOR})"
-        )
+    if (major := _integer("major schema version", schema.get("major"), SchemaVersionError)) != SCHEMA_MAJOR:
+        raise SchemaVersionError(f"unsupported major schema version {major} (supported: {SCHEMA_MAJOR})")
 
 
 def load_csv(path, header: bool = True, variables_as_rows: bool = False) -> Dataset:
@@ -134,18 +132,15 @@ def _list(value, rule: str, read) -> tuple:
     return tuple(map(read, _items(value, f"expected {rule}", ValueError)))
 
 
-def _number(value) -> float:
-    return _real(value, f"expected a finite number, got {value!r}")
-
-
 def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
-    return _list(rows, "a list of rows", lambda row: _list(row, "a list of numbers", _number))
+    """A square matrix, read by the matrix rule, as rows of floats."""
+    return tuple(map(tuple, _square(rows).tolist()))
 
 
 def _score_pair(entry) -> tuple[int, float]:
     if len(pair := _items(entry, "expected a [subscript, score] pair", ValueError)) != 2:
         raise ValueError(f"expected a [subscript, score] pair, got {entry!r}")
-    return _integer("subscript", pair[0]), _number(pair[1])
+    return _integer("subscript", pair[0]), _real(pair[1], f"expected a finite number, got {pair[1]!r}")
 
 
 def _read(read, default=MISSING):
@@ -184,7 +179,7 @@ class ModelDocument:
             value = doc[f.name] if f.default is MISSING else doc.get(f.name)
             try:
                 values[f.name] = value if value is f.default else f.metadata["read"](value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, LingamError) as exc:
                 raise ValueError(f"model field {f.name}: {exc}") from None
         return cls(**values)
 
@@ -262,8 +257,10 @@ def _cmd_benchmark(args) -> int:
     missing = [key for key in ("p_values", "n_values", "trials") if key not in grid_doc]
     if missing:  # a grid without them would fall back to the full protocol
         raise ValueError(f"grid document lacks {', '.join(missing)}")
-    known = {f.name for f in fields(BenchmarkGrid)}
-    grid = BenchmarkGrid(**{key: value for key, value in grid_doc.items() if key in known})
+    known = {"schema", *(f.name for f in fields(BenchmarkGrid))}
+    if unknown := [key for key in grid_doc if key not in known]:
+        raise ValueError(f"grid document has unknown keys {', '.join(unknown)}")
+    grid = BenchmarkGrid(**{key: value for key, value in grid_doc.items() if key != "schema"})
     report = run_benchmark(grid, threads=args.threads)
     payload = {"schema": _schema("lingamkit-benchmark-report"), "version": __version__}
     payload.update(report.to_dict(include_timings=args.timings))

@@ -7,9 +7,9 @@ Conventions used throughout the package:
 * Variable *subscripts* are 1-based (``x1 .. xp``), matching generated
   labels and printed output. Anything named ``indices`` is 0-based and
   meant for numpy indexing.
-* A ``Dataset`` is always centered: construction centers its own
-  C-ordered copy of the rows by the one rule of ``_center_rows``, whose
-  one mean, max and min per row also refuse NaN, infinite and constant
+* A ``Dataset`` is always centered: construction reads finite entries by the
+  matrix rule of ``_floats`` and centers a C-ordered copy by the one rule of
+  ``_center_rows``, whose one mean, max and min per row also refuse constant
   rows, so estimators take any ``Dataset`` as centered data. Its labels
   default to ``x1 .. xp``, and ``center`` is another name for ``Dataset``.
 * Sample moments use the 1/n divisor. Regression coefficients are
@@ -50,20 +50,15 @@ CHUNK_VALUES = 2**17
 
 
 def _center_rows(x: np.ndarray) -> np.ndarray:
-    """Center in place each row of a C-ordered block whose ``|mean| > CENTERED_TOL *
+    """Center in place each row of a finite C-ordered block whose ``|mean| > CENTERED_TOL *
     max|row|``, again if that changed a row (a mean large against the row's spread leaves
     a residue); return the constant rows, which centering never changes. One mean, max
-    and min per row and pass decide all three; a NaN or inf entry, or a row that overflows
-    when centered, raises ``NonFiniteValue``. Other rows keep every bit."""
+    and min per row and pass decide all three; a row that overflows when centered raises
+    ``NonFiniteValue``. Other rows keep every bit."""
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
             means, hi, lo = x.mean(axis=1), x.max(axis=1), x.min(axis=1)
-            scale = np.maximum(hi, -lo)  # max|row|; NaN or inf exactly when an entry is
-            if not np.isfinite(scale).all():
-                i = int(np.argmax(~np.isfinite(scale)))
-                j = int(np.argmax(~np.isfinite(x[i])))
-                raise NonFiniteValue(f"row {i + 1}, observation {j + 1} is {x[i, j]}")
-            off = ~(np.abs(means) <= CENTERED_TOL * scale)
+            off = ~(np.abs(means) <= CENTERED_TOL * np.maximum(hi, -lo))
             if not off.any():
                 break
             x -= np.where(off, means, 0.0)[:, None]
@@ -139,15 +134,21 @@ def _items(value, rule: str, error: type[Exception], kind: type = object) -> tup
 
 def _floats(value) -> np.ndarray:
     """``value`` as a float array, a view when it is one. An entry of a type ``_real`` refuses (a bool, a string,
-    a complex value), or one past the float range, raises ``ValueError``; a typed array is judged by its dtype."""
+    a complex value), or one past the float range, raises ``ValueError``; a typed array is judged by its dtype.
+    A NaN or infinite entry raises ``NonFiniteValue`` naming the first in row-major order by 1-based position."""
     arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
     for kind in dict.fromkeys(map(type, arr.flat)) if arr.dtype == object else (arr.dtype.type,):
         if issubclass(kind, bool) or not issubclass(kind, Real):
             raise ValueError(f"a matrix entry must be a real number, got a {kind.__name__}")
     try:
-        return np.asarray(arr, dtype=float)
+        arr = np.asarray(arr, dtype=float)
     except OverflowError as exc:
         raise ValueError(str(exc)) from None
+    if not np.isfinite(arr).all():
+        k = int(np.argmax(~np.isfinite(arr)))
+        at = ", ".join(str(i + 1) for i in np.unravel_index(k, arr.shape))
+        raise NonFiniteValue(f"entry ({at}) is {arr.flat[k]}" if arr.ndim else f"entry is {arr.flat[k]}")
+    return arr
 
 
 def _square(value) -> np.ndarray:

@@ -94,6 +94,7 @@ def estimate_order(data: Dataset) -> tuple[CausalOrder, tuple[dict[int, float], 
     diagnostics: list[dict[int, float]] = []
 
     while len(subs) > 1:
+        # Residuals stay finite: _scores refused a non-finite Gram or coefficient.
         constant = _center_rows(x)
         if constant.any() and len(order) < data.n - 1:
             sub = subs[int(np.argmax(constant))]

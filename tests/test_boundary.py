@@ -55,6 +55,7 @@ from lingamkit.errors import (
     DimensionMismatch,
     InvalidPermutation,
     LingamError,
+    NonFiniteValue,
     NotInActiveSet,
 )
 from lingamkit.synth import check_size
@@ -199,11 +200,13 @@ BAD_VALUES = {
     "names": np.array(["direct", "dense"]),
     "digits": [["0", "1", "2"], ["3", "0", "4"], ["5", "6", "0"]],
     "bools": np.array([[False, True, True], [True, False, True], [True, True, False]]),
+    "nan-entry": np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    "inf-entry": np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]]),
 }
 
-# A matrix argument's rule: an entry that is not a real number raises a ValueError, and the
-# shape rule raises a DimensionError.
-MATRIX = (DimensionError, ValueError)
+# A matrix argument's rule: an entry that is not a real number raises a ValueError, a NaN or
+# infinite entry a NonFiniteValue, and the shape rule raises a DimensionError.
+MATRIX = (DimensionError, ValueError, NonFiniteValue)
 # A name argument's rule: a ValueError whose message begins "<argument> must be ".
 NAME = (ValueError,)
 RNG = np.random.default_rng(0)

@@ -585,14 +585,18 @@ def one_error_line(capsys) -> str:
     return err
 
 
-# A model file's list fields read each level as a list: (field, value, the message after
-# "model field <field>: "). A string is not read as a list of characters.
+# A model file's list fields read each level as a list, and its matrices by the matrix
+# rule: (field, value, the message after "model field <field>: "). A string is not read as
+# a list of characters.
 MODEL_LIST_CASES = [
     ("order", 5, "expected a list of subscripts, got 5"),
     ("order", "12", "expected a list of subscripts, got '12'"),
-    ("strengths", 5, "expected a list of rows, got 5"),
+    ("strengths", 5, "expected a square matrix, got shape ()"),
     ("diagnostics", [[[1, 0.1, 7]]], "expected a [subscript, score] pair, got [1, 0.1, 7]"),
     ("diagnostics", {"0": []}, "expected a list of steps, got {'0': []}"),
+    ("strengths", [[0.0], [1.0, 2.0]], "a matrix entry must be a real number, got a list"),
+    ("strengths", [[0.0, 1.0, 2.0]], "expected a square matrix, got shape (1, 3)"),
+    ("pruned", [[0.0, 0.0, 0.0], [float("inf"), 0.0, 0.0], [0.0, 0.0, 0.0]], "entry (2, 1) is inf"),
 ]
 
 
@@ -622,10 +626,13 @@ class TestMalformedDocuments:
             ({"estimators": []}, "ValueError: estimators must be non-empty\n"),
             ({"trials": "missing"}, "ValueError: grid document lacks trials\n"),
             ({"x": float("inf")}, "ValueError: Infinity is not strict JSON\n"),
+            ({"master_sed": 5, "x": 1}, "ValueError: grid document has unknown keys master_sed, x\n"),
+            ({"schema": {**SCHEMA["schema"], "major": True}},
+             "SchemaVersionError: major schema version must be an integer, got True\n"),
         ],
         ids=["trials-null", "trials-1.7", "trials-true", "seed-string", "seed-negative", "p-string",
              "n-null", "estimators-string", "estimators-nested", "estimators-repeated",
-             "estimators-empty", "trials-missing", "infinity-constant"],
+             "estimators-empty", "trials-missing", "infinity-constant", "unknown-keys", "major-true"],
     )
     def test_bad_grid_field_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, changes, message):
         trials = []
@@ -638,7 +645,8 @@ class TestMalformedDocuments:
 
     def test_integral_values_and_defaults_accepted(self, tmp_path, capsys):
         # The sweep workload's warm-up grid leaves out estimators and master_seed.
-        assert self.run_grid(tmp_path, {**self.GRID, "p_values": [3.0], "trials": 2.0, "x": 1}) == 0
+        schema = {**SCHEMA["schema"], "major": 1.0}
+        assert self.run_grid(tmp_path, {**self.GRID, "schema": schema, "p_values": [3.0], "trials": 2.0}) == 0
         grid = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["grid"]
         assert grid == {
             "p_values": [3], "n_values": [40], "trials": 2,
@@ -682,6 +690,7 @@ class TestMalformedDocuments:
         code = run_cli("bootstrap", "--input", data, "--model", tmp_path / "m.json",
                        "--out", tmp_path / "e.json")
         assert code == 1
+        assert not (tmp_path / "e.json").exists()
         line = one_error_line(capsys)
         assert line.startswith(f"ValueError: model field {field}: ")
         for pinned_field, pinned_value, body in MODEL_LIST_CASES:

@@ -50,7 +50,7 @@ class TestCenter:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         raw = [[1.0, 2.0, 3.0], [1.0, bad, 3.0]]
-        with pytest.raises(NonFiniteValue, match="row 2, observation 2"):
+        with pytest.raises(NonFiniteValue, match=r"^entry \(2, 2\) is "):
             center(raw)
         with pytest.raises(NonFiniteValue):
             Dataset(np.array(raw), ("a", "b"))
@@ -80,15 +80,6 @@ class TestCenter:
 
 
 class TestCenterRows:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_first_non_finite_entry_is_named(self, bad):
-        x = np.random.default_rng(0).standard_normal((4, 1000))
-        x[2, 997] = bad
-        x[3, 5] = np.nan
-        with pytest.raises(NonFiniteValue) as err:
-            _center_rows(x)
-        assert str(err.value) == f"row 3, observation 998 is {bad}"
-
     def test_constant_mask_at_large_offsets_and_adjacent_floats(self):
         n = 1001
         rows = [np.full(n, 1e15), np.full(n, -3.7e300), np.full(n, 0.1), np.full(n, 5e-324)]
@@ -108,6 +99,15 @@ class TestCenterRows:
 
 
 class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_entry_is_named(self, bad):
+        x = np.random.default_rng(0).standard_normal((4, 1000))
+        x[2, 997] = bad
+        x[3, 5] = np.nan
+        with pytest.raises(NonFiniteValue) as err:
+            Dataset(x)
+        assert str(err.value) == f"entry (3, 998) is {bad}"
+
     def test_values_are_read_only(self):
         ds = center([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ class TestDataset:
             (1.0, (), DimensionError, "expected a 2-D matrix, got 0-D"),
             ([1.0, 2.0, 3.0], ("x1",), DimensionError, "expected a 2-D matrix, got 1-D"),
             (np.empty((0, 1)), (), DimensionError, "need at least one variable"),
-            ([[1.0, 2.0], [np.nan, 1.0]], ("x1", "x2"), NonFiniteValue, "row 2, observation 1 is nan"),
+            ([[1.0, 2.0], [np.nan, 1.0]], ("x1", "x2"), NonFiniteValue, "entry (2, 1) is nan"),
             ([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]], ("x1", "x2"), ZeroVarianceRow,
              "variable x2 has zero sample variance"),
             ([[1.7e308, 1.7e308, -1.7e308]], ("x1",), NonFiniteValue, "row 1 overflows when centered"),

@@ -214,7 +214,7 @@ class TestBFromUnmixing:
         assert np.diagonal(b_from_unmixing(w).entries).tobytes() == np.zeros(3).tobytes()
 
     def test_non_finite_diagonal_rejected(self):
-        with pytest.raises(DimensionError, match="^diagonal entries must be exactly zero$"):
+        with pytest.raises(NonFiniteValue, match=r"^entry \(1, 1\) is nan$"):
             b_from_unmixing(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 
 
